@@ -18,6 +18,7 @@ from __future__ import annotations
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr)
 from .machines import MachineError, TwoWayTransducer, is_reversible
+from .parser_build import _mod
 from .symbols import (LEFT_END, RIGHT_END, is_paren, lclose, letter,
                       lopen, sep, with_index)
 
@@ -324,10 +325,6 @@ def _eval_hadamard(h, sigma):
     b.add(rew, op_h, mg[tg.initial])
     b.add(mg[next(iter(tg.finals))], cl_h, qf)
     return b.done(q0, qf, alpha)
-
-
-def _mod(x: int, k: int) -> int:
-    return (x - 1) % k + 1
 
 
 def _kstar_copies(h, sigma):

@@ -14,6 +14,7 @@ invention of this package; the pretty printer emits the canonical form and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -23,6 +24,10 @@ class RteSyntaxError(ValueError):
     def __init__(self, msg: str, pos: int):
         super().__init__("%s (at position %d)" % (msg, pos))
         self.pos = pos
+
+
+class _TooDeep(RteSyntaxError):
+    """Nesting beyond MAX_NESTING: backtracking cannot repair it."""
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +368,12 @@ class _Scanner:
         raise RteSyntaxError(msg, self.pos)
 
 
+# Deepest parenthesis nesting the parser accepts.  Parsing recurses a few
+# frames per level and the Python stack gives out near 200 levels; at 150,
+# nested products and sums still build, evaluate and match the oracle.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Backtracking recursive descent over the combinator grammar."""
 
@@ -370,6 +381,19 @@ class _Parser:
         self.s = _Scanner(text)
         self.sigma = set(sigma)
         self.gamma = set(gamma)
+        self.depth = 0
+
+    @contextmanager
+    def nested(self):
+        """One more level of parentheses, refused beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise _TooDeep("parentheses nested deeper than %d levels"
+                           % MAX_NESTING, self.s.pos)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # -- regexes ------------------------------------------------------------
 
@@ -392,6 +416,8 @@ class _Parser:
                 try:
                     e = r_cat(e, self.regex_post())
                     continue
+                except _TooDeep:
+                    raise
                 except RteSyntaxError:
                     self.s.pos = save
                     break
@@ -421,7 +447,8 @@ class _Parser:
             return r_empty()
         if c == "(":
             self.s.pos += 1
-            e = self.regex()
+            with self.nested():
+                e = self.regex()
             self.s.expect(")")
             return e
         if c and c in self.sigma:
@@ -486,7 +513,8 @@ class _Parser:
                 e = self.regex()
                 self.s.expect("}")
                 self.s.expect("(")
-                f = self.expr()
+                with self.nested():
+                    f = self.expr()
                 self.s.expect(")")
                 return ctor(k, e, f)
         if self.s.starts("dup{"):
@@ -510,9 +538,12 @@ class _Parser:
             save = self.s.pos
             self.s.eat("(")
             try:
-                e = self.expr()
+                with self.nested():
+                    e = self.expr()
                 self.s.expect(")")
                 return e
+            except _TooDeep:
+                raise
             except RteSyntaxError:
                 self.s.pos = save
         return self.base_expr()

@@ -11,6 +11,7 @@ whole tape, right endmarker included, has been consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .symbols import LEFT_END, RIGHT_END, Sym, letters, render
 
@@ -22,6 +23,71 @@ class MachineError(ValueError):
 # ---------------------------------------------------------------------------
 # One-way machines
 
+class MoveIndex:
+    """The transitions of a one-way machine by state, in construction order.
+
+    Takes (src, sym | None, dst) or (src, sym | None, out, dst) tuples.
+    `eps[src]` and `letter[(src, sym)]` list the transition tuples;
+    `rev_eps[dst]` and `rev_letter[(dst, sym)]` list source states and exist
+    only with `reverse`, which would double determinization's memory.
+    """
+
+    def __init__(self, transitions, reverse: bool = False):
+        # where dst sits in the tuples; t[-1] would miss CPython's fast path
+        self.dst_pos = k = len(transitions[0]) - 1 if transitions else 0
+        self.eps = {}
+        self.letter = {}
+        self.rev_eps = {} if reverse else None
+        self.rev_letter = {} if reverse else None
+        for t in transitions:
+            if t[1] is None:
+                self.eps.setdefault(t[0], []).append(t)
+                if reverse:
+                    self.rev_eps.setdefault(t[k], []).append(t[0])
+            else:
+                self.letter.setdefault((t[0], t[1]), []).append(t)
+                if reverse:
+                    self.rev_letter.setdefault((t[k], t[1]), []).append(t[0])
+
+    def closure(self, states) -> set:
+        """States reachable from `states` by epsilon moves."""
+        seen = set(states)
+        stack = list(states)
+        eps, k = self.eps, self.dst_pos
+        while stack:
+            for t in eps.get(stack.pop(), ()):
+                d = t[k]
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
+
+    def coclosure(self, states) -> set:
+        """States that reach `states` by epsilon moves."""
+        seen = set(states)
+        stack = list(states)
+        rev = self.rev_eps
+        while stack:
+            for s in rev.get(stack.pop(), ()):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return seen
+
+    def step(self, states, sym) -> set:
+        """Targets of sym-moves out of `states`."""
+        letter, k = self.letter, self.dst_pos
+        return {t[k] for s in states for t in letter.get((s, sym), ())}
+
+    def back_step(self, states, sym) -> set:
+        """Sources of sym-moves into `states`."""
+        out = set()
+        rev = self.rev_letter
+        for s in states:
+            out.update(rev.get((s, sym), ()))
+        return out
+
+
 @dataclass
 class Nfa:
     """Nondeterministic automaton; `None` input labels are epsilon moves."""
@@ -32,52 +98,17 @@ class Nfa:
     transitions: list  # (src, sym | None, dst)
     alphabet: frozenset
 
-    def eps_closure(self, states) -> frozenset:
-        stack = list(states)
-        seen = set(stack)
-        adj = {}
-        for (src, sym, dst) in self.transitions:
-            if sym is None:
-                adj.setdefault(src, []).append(dst)
-        while stack:
-            s = stack.pop()
-            for d in adj.get(s, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return frozenset(seen)
-
 
 def nfa_accepts(nfa: Nfa, word) -> bool:
     """Subset simulation; `word` is a str or a tuple of symbols."""
     syms = letters(word) if isinstance(word, str) else tuple(word)
-    by_sym = {}
-    eps = {}
-    for (src, sym, dst) in nfa.transitions:
-        if sym is None:
-            eps.setdefault(src, []).append(dst)
-        else:
-            by_sym.setdefault((src, sym), []).append(dst)
-
-    def closure(states):
-        stack = list(states)
-        seen = set(stack)
-        while stack:
-            s = stack.pop()
-            for d in eps.get(s, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
-
-    cur = closure({nfa.initial})
+    index = MoveIndex(nfa.transitions)
+    cur = index.closure({nfa.initial})
     for a in syms:
-        nxt = set()
-        for s in cur:
-            nxt.update(by_sym.get((s, a), ()))
+        nxt = index.step(cur, a)
         if not nxt:
             return False
-        cur = closure(nxt)
+        cur = index.closure(nxt)
     return any(s in nfa.finals for s in cur)
 
 
@@ -109,26 +140,8 @@ class Dfa:
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     """Powerset construction with epsilon closure; result is complete."""
     alpha = frozenset(alphabet if alphabet is not None else nfa.alphabet)
-    by_sym = {}
-    eps = {}
-    for (src, sym, dst) in nfa.transitions:
-        if sym is None:
-            eps.setdefault(src, []).append(dst)
-        else:
-            by_sym.setdefault((src, sym), []).append(dst)
-
-    def closure(states):
-        stack = list(states)
-        seen = set(stack)
-        while stack:
-            s = stack.pop()
-            for d in eps.get(s, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return frozenset(seen)
-
-    start = closure({nfa.initial})
+    moves = MoveIndex(nfa.transitions)
+    start = frozenset(moves.closure({nfa.initial}))
     index = {start: 0}
     order = [start]
     delta = {}
@@ -137,10 +150,7 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
         cur = todo.pop()
         ci = index[cur]
         for a in alpha:
-            nxt = set()
-            for s in cur:
-                nxt.update(by_sym.get((s, a), ()))
-            nxt = closure(nxt)
+            nxt = frozenset(moves.closure(moves.step(cur, a)))
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
@@ -227,11 +237,6 @@ def minimize_dfa(d: Dfa) -> Dfa:
     return Dfa(n, block[d.initial], finals, delta, d.alphabet)
 
 
-def nfa_of_dfa(d: Dfa) -> Nfa:
-    trans = [(s, a, t) for ((s, a), t) in d.delta.items()]
-    return Nfa(d.n_states, d.initial, d.finals, trans, d.alphabet)
-
-
 # ---------------------------------------------------------------------------
 # One-way transducers
 
@@ -250,9 +255,11 @@ class OneWayTransducer:
         return Nfa(self.n_states, self.initial, self.finals, trans,
                    self.input_alphabet)
 
-    def domain_nfa(self) -> Nfa:
-        """Acceptor of the input projection (outputs erased)."""
-        return self.underlying_nfa()
+    @cached_property
+    def index(self) -> MoveIndex:
+        """The transitions by state, both ways, built on first use and kept;
+        the transition list must not change after that."""
+        return MoveIndex(self.transitions, reverse=True)
 
 
 @dataclass
@@ -261,31 +268,25 @@ class EnumResult:
     truncated: bool = False
 
 
-def enumerate_outputs(t: OneWayTransducer, word, max_eps_run: int | None = None) -> EnumResult:
+def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
     """All outputs of t on `word`, with a guard against epsilon cycles.
 
-    Runs whose consecutive epsilon-move count would exceed `max_eps_run`, or
-    that revisit a state within one epsilon run (a pumpable cycle, hence an
-    infinite output set), are cut off and reported via the truncated flag.
+    Runs longer than n_states * max(1, |alphabet|) * 4 consecutive epsilon
+    moves, or that revisit a state within one epsilon run (a pumpable cycle,
+    hence an infinite output set), are cut off and reported via the
+    truncated flag.
     """
     syms = letters(word) if isinstance(word, str) else tuple(word)
-    if max_eps_run is None:
-        max_eps_run = t.n_states * max(1, len(t.input_alphabet)) * 4
-    eps = {}
-    by_sym = {}
-    for (s, a, out, d) in t.transitions:
-        if a is None:
-            eps.setdefault(s, []).append((out, d))
-        else:
-            by_sym.setdefault((s, a), []).append((out, d))
+    max_eps_run = t.n_states * max(1, len(t.input_alphabet)) * 4
+    index = t.index
     res = EnumResult(set())
     out_acc = []
 
     def moves(state, pos, eps_seen, eps_len):
         if pos < len(syms):
-            for (out, d) in by_sym.get((state, syms[pos]), ()):
+            for (_s, _a, out, d) in index.letter.get((state, syms[pos]), ()):
                 yield (out, d, pos + 1, frozenset((d,)), 0)
-        for (out, d) in eps.get(state, ()):
+        for (_s, _a, out, d) in index.eps.get(state, ()):
             if d in eps_seen or eps_len + 1 > max_eps_run:
                 res.truncated = True
                 continue
@@ -351,87 +352,46 @@ def _read_position(sign: int, boundary: int) -> int:
     return boundary if sign > 0 else boundary - 1
 
 
-def run_two_way(t: TwoWayTransducer, word, step_budget: int | None = None,
+def run_two_way(t: TwoWayTransducer, word,
                 want_trace: bool = False) -> TwoWayResult:
-    """Simulate t on |- word -|.
+    """Simulate the deterministic machine t on |- word -|.
 
-    Deterministic machines run step by step with configuration-repeat
-    detection; nondeterministic ones fall back to a depth-first search bounded
-    by `step_budget`.  Acceptance needs a final state with the whole tape,
-    right endmarker included, consumed.
+    Runs step by step with configuration-repeat detection; a configuration
+    with more than one move raises MachineError.  Acceptance needs a final
+    state with the whole tape, right endmarker included, consumed.
     """
     syms = letters(word) if isinstance(word, str) else tuple(word)
     tape = (LEFT_END,) + syms + (RIGHT_END,)
     n = len(tape)
-    if step_budget is None:
-        step_budget = t.n_states * (n + 1) * 4 + 16
-
-    deterministic = all(len(v) <= 1 for v in t.delta.values())
-    if deterministic:
-        state, boundary = t.initial, 0
-        out = []
-        trace = [Configuration(state, boundary)] if want_trace else []
-        seen = {(state, boundary)}
-        while True:
-            if state in t.finals and boundary == n:
-                return TwoWayResult("accept", "".join(out), trace)
-            pos = _read_position(t.signs[state], boundary)
-            if pos < 0 or pos >= n:
-                return TwoWayResult("reject", None, trace)
-            moves = t.successors(state, tape[pos])
-            if not moves:
-                return TwoWayResult("reject", None, trace)
-            (dst, o) = moves[0]
-            if o:
-                out.append(o)
-            if t.signs[state] > 0:
-                boundary = boundary + 1 if t.signs[dst] > 0 else boundary
-            else:
-                boundary = boundary if t.signs[dst] > 0 else boundary - 1
-            state = dst
-            if want_trace:
-                trace.append(Configuration(state, boundary))
-            if (state, boundary) in seen:
-                return TwoWayResult("loop", None, trace)
-            seen.add((state, boundary))
-
-    # nondeterministic: DFS over configurations
-    budget = [step_budget]
-    out_acc = []
-    results = []
-    hit_budget = [False]
-
-    def dfs(state, boundary, path):
-        if budget[0] <= 0:
-            hit_budget[0] = True
-            return
-        budget[0] -= 1
-        if state in t.finals and boundary == n and not results:
-            results.append("".join(out_acc))
-            return
+    state, boundary = t.initial, 0
+    out = []
+    trace = [Configuration(state, boundary)] if want_trace else []
+    seen = {(state, boundary)}
+    while True:
+        if state in t.finals and boundary == n:
+            return TwoWayResult("accept", "".join(out), trace)
         pos = _read_position(t.signs[state], boundary)
         if pos < 0 or pos >= n:
-            return
-        for (dst, o) in t.successors(state, tape[pos]):
-            if t.signs[state] > 0:
-                nb = boundary + 1 if t.signs[dst] > 0 else boundary
-            else:
-                nb = boundary if t.signs[dst] > 0 else boundary - 1
-            key = (dst, nb)
-            if key in path:
-                continue
-            if o:
-                out_acc.append(o)
-            dfs(dst, nb, path | {key})
-            if o:
-                out_acc.pop()
-            if results:
-                return
-
-    dfs(t.initial, 0, frozenset({(t.initial, 0)}))
-    if results:
-        return TwoWayResult("accept", results[0])
-    return TwoWayResult("loop" if hit_budget[0] else "reject", None)
+            return TwoWayResult("reject", None, trace)
+        moves = t.successors(state, tape[pos])
+        if not moves:
+            return TwoWayResult("reject", None, trace)
+        if len(moves) > 1:
+            raise MachineError("state %d has %d moves on %s"
+                               % (state, len(moves), render(tape[pos])))
+        (dst, o) = moves[0]
+        if o:
+            out.append(o)
+        if t.signs[state] > 0:
+            boundary = boundary + 1 if t.signs[dst] > 0 else boundary
+        else:
+            boundary = boundary if t.signs[dst] > 0 else boundary - 1
+        state = dst
+        if want_trace:
+            trace.append(Configuration(state, boundary))
+        if (state, boundary) in seen:
+            return TwoWayResult("loop", None, trace)
+        seen.add((state, boundary))
 
 
 def audit_trace(t: TwoWayTransducer, word, trace) -> bool:
@@ -523,35 +483,31 @@ def _out_label(out) -> str:
 
 
 def to_dot(m, name: str = "machine") -> str:
-    lines = ["digraph %s {" % name, "  rankdir=LR;", '  start [shape=none label=""];']
+    """Graphviz text.  Node lines cover the initial state, the finals and
+    the states that appear in a transition, not the whole nominal range."""
     if isinstance(m, TwoWayTransducer):
-        for s in range(m.n_states):
-            sign = "+" if m.signs[s] > 0 else "-"
-            shape = "doublecircle" if s in m.finals else "circle"
-            lines.append('  %d [shape=%s label="%d%s"];' % (s, shape, s, sign))
-        lines.append("  start -> %d;" % m.initial)
-        for (src, sym), moves in sorted(m.delta.items(), key=str):
-            for (dst, out) in moves:
-                lines.append('  %d -> %d [label="%s | %s"];'
-                             % (src, dst, _sym_label(sym), _out_label(out)))
+        edges = [(src, dst, "%s | %s" % (_sym_label(sym), _out_label(out)))
+                 for (src, sym), moves in sorted(m.delta.items(), key=str)
+                 for (dst, out) in moves]
     elif isinstance(m, OneWayTransducer):
-        for s in range(m.n_states):
-            shape = "doublecircle" if s in m.finals else "circle"
-            lines.append('  %d [shape=%s label="%d"];' % (s, shape, s))
-        lines.append("  start -> %d;" % m.initial)
-        for (src, sym, out, dst) in m.transitions:
-            lines.append('  %d -> %d [label="%s | %s"];'
-                         % (src, dst, _sym_label(sym), _out_label(out)))
+        edges = [(src, dst, "%s | %s" % (_sym_label(sym), _out_label(out)))
+                 for (src, sym, out, dst) in m.transitions]
     elif isinstance(m, (Nfa, Dfa)):
-        finals = m.finals
-        for s in range(m.n_states):
-            shape = "doublecircle" if s in finals else "circle"
-            lines.append('  %d [shape=%s label="%d"];' % (s, shape, s))
-        lines.append("  start -> %d;" % m.initial)
-        for (src, sym, dst) in _edges(m):
-            lines.append('  %d -> %d [label="%s"];' % (src, dst, _sym_label(sym)))
+        edges = [(src, dst, _sym_label(sym)) for (src, sym, dst) in _edges(m)]
     else:
         raise MachineError("unsupported machine type: %r" % type(m))
+    used = {m.initial} | set(m.finals)
+    for (src, dst, _label) in edges:
+        used.update((src, dst))
+    lines = ["digraph %s {" % name, "  rankdir=LR;", '  start [shape=none label=""];']
+    for s in sorted(used):
+        shape = "doublecircle" if s in m.finals else "circle"
+        sign = ""
+        if isinstance(m, TwoWayTransducer):
+            sign = "+" if m.signs[s] > 0 else "-"
+        lines.append('  %d [shape=%s label="%d%s"];' % (s, shape, s, sign))
+    lines.append("  start -> %d;" % m.initial)
+    lines.extend('  %d -> %d [label="%s"];' % e for e in edges)
     lines.append("}")
     return "\n".join(lines)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, nl)
 from .glushkov import glushkov
-from .machines import OneWayTransducer
+from .machines import MoveIndex, OneWayTransducer
 from .symbols import CLOSE, OPEN, SEP, lclose, letter, lopen, sep
 
 
@@ -137,37 +137,26 @@ def _parser_hadamard(h: LabeledExpr, sigma: str) -> OneWayTransducer:
         for t in range(pg.n_states):
             for bit in (0, 1):
                 idx[(s, t, bit)] = b.state()
-    f_eps, f_let = _classify(pf)
-    g_eps, g_let = _classify(pg)
+    fi, gi = MoveIndex(pf.transitions), MoveIndex(pg.transitions)
+    alphabet = [letter(c) for c in sigma]
     for s in range(pf.n_states):
         for t in range(pg.n_states):
             for bit in (0, 1):
                 src = idx[(s, t, bit)]
                 if bit == 0:
-                    for (out, s2) in f_eps.get(s, ()):
-                        b.add(src, None, out, idx[(s2, t, 0)])
-                for (out, t2) in g_eps.get(t, ()):
-                    b.add(src, None, out, idx[(s, t2, 1)])
-                for (a, s2) in f_let.get(s, ()):
-                    for (a2, t2) in g_let.get(t, ()):
-                        if a == a2:
+                    for (_s, _a, out, s2) in fi.eps.get(s, ()):
+                        b.add(src, None, out[0], idx[(s2, t, 0)])
+                for (_t, _a, out, t2) in gi.eps.get(t, ()):
+                    b.add(src, None, out[0], idx[(s, t2, 1)])
+                for a in alphabet:
+                    for (_s, _a, _o, s2) in fi.letter.get((s, a), ()):
+                        for (_t, _a, _o, t2) in gi.letter.get((t, a), ()):
                             b.add(src, a, a, idx[(s2, t2, 0)])
     b.add(q0, None, lopen(h.occ),
           idx[(pf.initial, pg.initial, 0)])
     b.add(idx[(next(iter(pf.finals)), next(iter(pg.finals)), 1)],
           None, lclose(h.occ), qf)
     return b.done(q0, qf, sigma)
-
-
-def _classify(p: OneWayTransducer):
-    eps = {}
-    let = {}
-    for (src, a, out, dst) in p.transitions:
-        if a is None:
-            eps.setdefault(src, []).append((out[0], dst))
-        else:
-            let.setdefault(src, []).append((a, dst))
-    return eps, let
 
 
 def _mod(x: int, k: int) -> int:
@@ -182,10 +171,8 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
     pf = build_parser(h.left, sigma)
     ae = glushkov(h.regex, sigma)
     qf_f = next(iter(pf.finals))
-    f_eps, f_let = _classify(pf)
-    ae_let = {}
-    for (src, a, dst) in ae.transitions:
-        ae_let.setdefault(src, []).append((a, dst))
+    fi, ae_moves = MoveIndex(pf.transitions), MoveIndex(ae.transitions)
+    alphabet = [letter(c) for c in sigma]
 
     b = _Builder()
     q0, qf = b.states(2)
@@ -209,8 +196,9 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
     for (i, q, comps, j), src in idx.items():
         m = _mod(i + 1, k)
         # case 1: synchronized letter step
-        for (a, q2) in ae_let.get(q, ()):
-            _letter_moves(b, idx, src, i, q2, comps, a, f_let, bot, m, k)
+        for a in alphabet:
+            for (_q, _a, q2) in ae_moves.letter.get((q, a), ()):
+                _letter_moves(b, idx, src, i, q2, comps, a, fi, bot, m, k)
         # case 2: a component emits an inner parenthesis
         for l in range(1, k + 1):
             ql = comps[l - 1]
@@ -218,20 +206,20 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
                 continue
             if not (rank(i, j) <= rank(i, l)):
                 continue
-            for (out, q2) in f_eps.get(ql, ()):
+            for (_ql, _a, out, q2) in fi.eps.get(ql, ()):
                 if q2 == qf_f:
                     continue
                 nc = comps[:l - 1] + (q2,) + comps[l:]
-                b.add(src, None, tag(out, l), idx[(i, q, nc, l)])
+                b.add(src, None, tag(out[0], l), idx[(i, q, nc, l)])
         if q in ae.finals and comps[i - 1] != pf.initial:
             # case 3: close the block whose index is m
             qm = comps[m - 1]
             if qm != bot:
-                for (out, q2) in f_eps.get(qm, ()):
+                for (_qm, _a, out, q2) in fi.eps.get(qm, ()):
                     if q2 != qf_f:
                         continue
                     nc = comps[:m - 1] + (qf_f,) + comps[m:]
-                    b.add(src, None, tag(out, m), idx[(i, q, nc, j)])
+                    b.add(src, None, tag(out[0], m), idx[(i, q, nc, j)])
             # case 4: factor boundary.  The construction also states a
             # not-accepting guard here; it is vacuous for k >= 2 (the forced
             # idle guess kills such runs) and would wrongly cut the k = 1
@@ -261,8 +249,9 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
             for c in range(1, k):
                 short[(q, c)] = b.state()
         for (q, c), src in short.items():
-            for (a, q2) in ae_let.get(q, ()):
-                b.add(src, a, a, short[(q2, c)])
+            for a in alphabet:
+                for (_q, _a, q2) in ae_moves.letter.get((q, a), ()):
+                    b.add(src, a, a, short[(q2, c)])
             if q in ae.finals and c + 1 < k:
                 b.add(src, None, sep(h.occ), short[(ae.initial, c + 1)])
         b.add(q0, None, lopen(h.occ), short[(ae.initial, 1)])
@@ -282,13 +271,13 @@ def _alloc_tuples(b, idx, i, q, j, comp_vals, k):
     go([])
 
 
-def _letter_moves(b, idx, src, i, q2, comps, a, f_let, bot, m, k):
+def _letter_moves(b, idx, src, i, q2, comps, a, fi, bot, m, k):
     options = []
     for ql in comps:
         if ql == bot:
             options.append([bot])
         else:
-            nxt = [d for (x, d) in f_let.get(ql, ()) if x == a]
+            nxt = [t[3] for t in fi.letter.get((ql, a), ())]
             if not nxt:
                 return
             options.append(nxt)

@@ -25,8 +25,7 @@ from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
 from .glushkov import glushkov
 from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
                        complement_dfa, determinize, dfa_difference,
-                       dfa_intersect, dfa_union, minimize_dfa, nfa_of_dfa,
-                       run_two_way)
+                       dfa_intersect, dfa_union, minimize_dfa, run_two_way)
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
 from .symbols import letter, letters
@@ -43,45 +42,24 @@ class MacroStepTable:
     def __init__(self, parser: OneWayTransducer):
         self.parser = parser
         self.final = next(iter(parser.finals))
-        self.eps = {}
-        self.letter = {}
-        for (src, a, out, dst) in parser.transitions:
-            if a is None:
-                self.eps.setdefault(src, []).append((out[0], dst))
-            else:
-                self.letter.setdefault(src, []).append((a, dst))
+        self.index = parser.index
+        self.eps, self.letter = self.index.eps, self.index.letter
         self._eclo = {}
         self._sync = {}
         self._reach = {}
 
     def _eps_closure(self, p):
-        if p in self._eclo:
-            return self._eclo[p]
-        seen = {p}
-        stack = [p]
-        while stack:
-            s = stack.pop()
-            for (_o, d) in self.eps.get(s, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        r = frozenset(seen)
-        self._eclo[p] = r
-        return r
+        if p not in self._eclo:
+            self._eclo[p] = frozenset(self.index.closure((p,)))
+        return self._eclo[p]
 
     def reach_letter(self, p, a):
         """States reachable from p by parenthesis moves followed by `a`."""
         key = (p, a)
-        if key in self._reach:
-            return self._reach[key]
-        out = set()
-        for s in self._eps_closure(p):
-            for (x, d) in self.letter.get(s, ()):
-                if x == a:
-                    out.add(d)
-        r = frozenset(out)
-        self._reach[key] = r
-        return r
+        if key not in self._reach:
+            self._reach[key] = frozenset(
+                self.index.step(self._eps_closure(p), a))
+        return self._reach[key]
 
     def sync_closure(self, p, q):
         """Pairs reachable while both sides emit the same parentheses."""
@@ -93,9 +71,9 @@ class MacroStepTable:
         while stack:
             (s, t) = stack.pop()
             t_by = {}
-            for (o, d) in self.eps.get(t, ()):
+            for (_t, _a, o, d) in self.eps.get(t, ()):
                 t_by.setdefault(o, []).append(d)
-            for (o, d1) in self.eps.get(s, ()):
+            for (_s, _a, o, d1) in self.eps.get(s, ()):
                 for d2 in t_by.get(o, ()):
                     if (d1, d2) not in seen:
                         seen.add((d1, d2))
@@ -107,14 +85,10 @@ class MacroStepTable:
     def same_targets(self, p, q, a):
         out = set()
         for (s, t) in self.sync_closure(p, q):
-            ls = self.letter.get(s, ())
-            lt = self.letter.get(t, ())
-            for (x1, d1) in ls:
-                if x1 != a:
-                    continue
-                for (x2, d2) in lt:
-                    if x2 == a:
-                        out.add((d1, d2))
+            lt = self.letter.get((t, a), ())
+            for (_s, _a, _o, d1) in self.letter.get((s, a), ()):
+                for (_t, _a, _o, d2) in lt:
+                    out.add((d1, d2))
         return out
 
     def diff_targets(self, p, q, a):
@@ -124,29 +98,26 @@ class MacroStepTable:
             s_eps = self.eps.get(s, ())
             t_eps = self.eps.get(t, ())
             # both sides move on parentheses with different symbols
-            for (o1, d1) in s_eps:
-                for (o2, d2) in t_eps:
+            for (_s, _a, o1, d1) in s_eps:
+                for (_t, _a, o2, d2) in t_eps:
                     if o1 != o2:
                         for r1 in self.reach_letter(d1, a):
                             for r2 in self.reach_letter(d2, a):
                                 out.add((r1, r2))
             # one side still emits while the other already reads the letter
-            t_lets = [d2 for (x, d2) in self.letter.get(t, ()) if x == a]
+            t_lets = [m[3] for m in self.letter.get((t, a), ())]
             if t_lets:
-                for (_o1, d1) in s_eps:
+                for (_s, _a, _o, d1) in s_eps:
                     for r1 in self.reach_letter(d1, a):
                         for r2 in t_lets:
                             out.add((r1, r2))
-            s_lets = [d1 for (x, d1) in self.letter.get(s, ()) if x == a]
+            s_lets = [m[3] for m in self.letter.get((s, a), ())]
             if s_lets:
-                for (_o2, d2) in t_eps:
+                for (_t, _a, _o, d2) in t_eps:
                     for r2 in self.reach_letter(d2, a):
                         for r1 in s_lets:
                             out.add((r1, r2))
         return out
-
-    def all_targets(self, p, a):
-        return self.reach_letter(p, a)
 
     def end_same(self, p, q) -> bool:
         """Both states finish with the same parenthesis suffix."""
@@ -156,17 +127,17 @@ class MacroStepTable:
     def end_diff(self, p, q) -> bool:
         """Both states finish, producing different parenthesis suffixes."""
         for (s, t) in self.sync_closure(p, q):
-            for (o1, d1) in self.eps.get(s, ()):
-                for (o2, d2) in self.eps.get(t, ()):
+            for (_s, _a, o1, d1) in self.eps.get(s, ()):
+                for (_t, _a, o2, d2) in self.eps.get(t, ()):
                     if o1 != o2 and self.final in self._eps_closure(d1) \
                             and self.final in self._eps_closure(d2):
                         return True
             if t == self.final:
-                for (_o, d1) in self.eps.get(s, ()):
+                for (_s, _a, _o, d1) in self.eps.get(s, ()):
                     if self.final in self._eps_closure(d1):
                         return True
             if s == self.final:
-                for (_o, d2) in self.eps.get(t, ()):
+                for (_t, _a, _o, d2) in self.eps.get(t, ()):
                     if self.final in self._eps_closure(d2):
                         return True
         return False
@@ -208,8 +179,8 @@ def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
                 moves += [((d1, d2, 1), a) for (d1, d2)
                           in table.diff_targets(p, q, a)]
             else:
-                full = table.all_targets(p, a)
-                full2 = table.all_targets(q, a)
+                full = table.reach_letter(p, a)
+                full2 = table.reach_letter(q, a)
                 moves = [((d1, d2, 1), a) for d1 in full for d2 in full2]
             for (st, x) in moves:
                 trans.append((src, x, idx(*st)))
@@ -241,43 +212,14 @@ class UniformParser:
     def __init__(self, parser: OneWayTransducer):
         self.parser = parser
         self.final = next(iter(parser.finals))
-        self.eps = {}
-        self.let = {}
-        for (src, a, out, dst) in parser.transitions:
-            if a is None:
-                self.eps.setdefault(src, []).append((out[0], dst))
-            else:
-                self.let.setdefault(src, []).append((a, out[0], dst))
-        self.rev_eps = {}
-        for (src, a, out, dst) in parser.transitions:
-            if a is None:
-                self.rev_eps.setdefault(dst, []).append(src)
+        self.index = parser.index
 
     def _coreach(self, syms):
-        n = len(syms)
-        rev_let = {}
-        for (src, a, out, dst) in self.parser.transitions:
-            if a is not None:
-                rev_let.setdefault((dst, a), []).append(src)
-
-        def eps_up(states):
-            out = set(states)
-            stack = list(states)
-            while stack:
-                s = stack.pop()
-                for p in self.rev_eps.get(s, ()):
-                    if p not in out:
-                        out.add(p)
-                        stack.append(p)
-            return out
-
-        co = [None] * (n + 1)
-        co[n] = eps_up({self.final})
-        for t in range(n - 1, -1, -1):
-            pre = set()
-            for s in co[t + 1]:
-                pre.update(rev_let.get((s, syms[t]), ()))
-            co[t] = eps_up(pre)
+        index = self.index
+        co = [None] * (len(syms) + 1)
+        co[-1] = index.coclosure({self.final})
+        for t in range(len(syms) - 1, -1, -1):
+            co[t] = index.coclosure(index.back_step(co[t + 1], syms[t]))
         return co
 
     def parse(self, word):
@@ -288,14 +230,16 @@ class UniformParser:
         if self.parser.initial not in co[0]:
             return None
 
+        eps, letter = self.index.eps, self.index.letter
+
         def moves(state, t):
-            for (o, dst) in self.eps.get(state, ()):
+            for (_s, _a, o, dst) in eps.get(state, ()):
                 if dst in co[t]:
-                    yield (o, dst, t)
+                    yield (o[0], dst, t)
             if t < n:
-                for (a, o, dst) in self.let.get(state, ()):
-                    if a == syms[t] and dst in co[t + 1]:
-                        yield (o, dst, t + 1)
+                for (_s, _a, o, dst) in letter.get((state, syms[t]), ()):
+                    if dst in co[t + 1]:
+                        yield (o[0], dst, t + 1)
 
         goal = (self.final, n)
         if (self.parser.initial, 0) == goal:
@@ -339,25 +283,6 @@ def dom_dfa(h: LabeledExpr, sigma: str) -> Dfa:
     def of_nfa(nfa: Nfa) -> Dfa:
         return minimize_dfa(determinize(nfa, alpha))
 
-    def cat_nfa(d1: Dfa, d2: Dfa) -> Nfa:
-        n1 = nfa_of_dfa(d1)
-        trans = list(n1.transitions)
-        off = d1.n_states
-        for ((s, a), t) in d2.delta.items():
-            trans.append((s + off, a, t + off))
-        for f in d1.finals:
-            trans.append((f, None, d2.initial + off))
-        finals = frozenset(f + off for f in d2.finals)
-        return Nfa(off + d2.n_states, d1.initial, finals, trans, alpha)
-
-    def star_nfa(d: Dfa) -> Nfa:
-        trans = [(s + 1, a, t + 1) for ((s, a), t) in d.delta.items()]
-        trans.append((0, None, d.initial + 1))
-        finals = frozenset({0} | {f + 1 for f in d.finals})
-        for f in d.finals:
-            trans.append((f + 1, None, d.initial + 1))
-        return Nfa(d.n_states + 1, 0, finals, trans, alpha)
-
     if h.kind == BASE:
         return of_nfa(glushkov(h.regex, sigma))
     if h.kind in (DUP, REV):
@@ -366,15 +291,16 @@ def dom_dfa(h: LabeledExpr, sigma: str) -> Dfa:
         return minimize_dfa(dfa_union(dom_dfa(h.left, sigma),
                                       dom_dfa(h.right, sigma)))
     if h.kind in (CAUCHY, CAUCHY_REV):
-        return of_nfa(cat_nfa(dom_dfa(h.left, sigma), dom_dfa(h.right, sigma)))
+        return of_nfa(_cat_pair_nfa(dom_dfa(h.left, sigma),
+                                    dom_dfa(h.right, sigma), alpha))
     if h.kind in (STAR, STAR_REV):
-        return of_nfa(star_nfa(dom_dfa(h.left, sigma)))
+        return of_nfa(_star_pos_nfa(dom_dfa(h.left, sigma), alpha))
     if h.kind == HADAMARD:
         return minimize_dfa(dfa_intersect(dom_dfa(h.left, sigma),
                                           dom_dfa(h.right, sigma)))
     if h.kind in (KSTAR, KSTAR_REV):
         parser = build_parser(h, sigma)
-        return of_nfa(parser.domain_nfa())
+        return of_nfa(parser.underlying_nfa())
     raise ValueError(h.kind)
 
 

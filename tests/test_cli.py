@@ -1,6 +1,7 @@
 import json
 
 from rtec.cli import main
+from rtec.expr import MAX_NESTING
 
 
 def test_eval_unambiguous(capsys):
@@ -39,6 +40,21 @@ def test_syntax_error_exit_code(capsys):
                "--gamma", "c", "a"])
     assert rc == 2
     assert "syntax error" in capsys.readouterr().err
+
+
+def test_nesting_limit_exit_code(capsys):
+    def nested(depth):
+        return "(" * depth + 'a -> "c"' + ")" * depth
+
+    rc = main(["eval", "--expr", nested(MAX_NESTING), "--sigma", "ab",
+               "--gamma", "c", "a"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == '"c"'
+    rc = main(["eval", "--expr", nested(MAX_NESTING + 1), "--sigma", "ab",
+               "--gamma", "c", "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "syntax error" in err and "nested deeper" in err
 
 
 def test_compile_writes_dumps(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import random
 
+import pytest
+
 from rtec.expr import parse_regex
 from rtec.glushkov import glushkov
-from rtec.machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
-                           audit_trace, complement_dfa, determinize,
-                           enumerate_outputs, is_codeterministic,
+from rtec.machines import (Dfa, MachineError, Nfa, OneWayTransducer,
+                           TwoWayTransducer, audit_trace, complement_dfa,
+                           determinize, enumerate_outputs, is_codeterministic,
                            is_deterministic, is_reversible, minimize_dfa,
                            nfa_accepts, run_two_way, to_dot, to_json_dict)
 from rtec.symbols import LEFT_END, RIGHT_END, letter, letters
@@ -165,10 +167,18 @@ def test_exports():
     n = Nfa(2, 0, frozenset({1}), [(0, A, 1), (0, None, 1)], frozenset({A}))
     assert to_json_dict(n)["transitions"][1]["in"] is None
     assert "eps" in to_dot(n)
+    # the checker has 2 * 8^2 nominal states; the dot lists the 5 in use
+    from rtec.pipeline import build_pipeline
+    checker = build_pipeline(mk('(a -> "c") + (a -> "d")'), SIGMA).checker
+    assert checker.n_states == 128
+    nodes = [line for line in to_dot(checker).splitlines() if "circle" in line]
+    used = {checker.initial} | {x for (s, _a, d) in checker.transitions
+                                for x in (s, d)}
+    assert len(nodes) == len(used) == 5
 
 
-def test_nondeterministic_two_way_search():
-    # two choices at the start; only one of them can reach acceptance
+def test_nondeterministic_two_way_raises():
+    # two choices at the start: run_two_way only runs deterministic machines
     delta = {
         (0, LEFT_END): [(1, ""), (2, "")],
         (1, A): [(1, "x")],
@@ -178,6 +188,5 @@ def test_nondeterministic_two_way_search():
     m = TwoWayTransducer(4, [1, 1, 1, 1], 0, frozenset({3}), delta,
                          frozenset({A, LEFT_END, RIGHT_END}))
     assert not is_deterministic(m)
-    res = run_two_way(m, "aa")
-    assert res.status == "accept"
-    assert res.output == "yy"
+    with pytest.raises(MachineError):
+        run_two_way(m, "aa")

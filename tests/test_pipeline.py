@@ -8,6 +8,7 @@ from rtec.pipeline import (MacroStepTable, build_pipeline,
                            check_size_bounds, dom_dfa, udom_dfa,
                            uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
+from rtec.symbols import render_word
 
 from conftest import SIGMA, mk, words_upto
 
@@ -61,6 +62,9 @@ def test_uniformizer_deterministic_member():
     u = uniformize_parser(build_parser(h, SIGMA))
     first = u.parse("a")
     assert first in o.parsings(h, "a").items
+    # the first co-reachable transition in construction order enters the
+    # left summand
+    assert render_word(first) == "(1 (2 a )2 )1"
     for _ in range(5):
         assert u.parse("a") == first
     assert u.parse("b") is None
