@@ -8,9 +8,9 @@ from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
                        complement_dfa, determinize, enumerate_outputs,
                        is_codeterministic, is_deterministic, is_reversible,
                        minimize_dfa, nfa_accepts, run_two_way)
-from .oracle import (BoundedSet, Oracle, check_kstar_conditions, oracle_dom,
-                     oracle_parsings, oracle_rsem, oracle_udom, oracle_usem,
-                     re_match)
+from .oracle import (BoundedSet, Oracle, OracleLimitError,
+                     check_kstar_conditions, oracle_dom, oracle_parsings,
+                     oracle_rsem, oracle_udom, oracle_usem, re_match)
 from .parser_build import build_parser, parser_invariants_ok
 from .evaluator_build import build_evaluator, ext_alphabet, lift_ignoring
 from .pipeline import (MacroStepTable, Pipeline, UniformParser,

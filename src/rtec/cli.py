@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: compile, eval, check, dump, oracle.  Exit codes: 0 success,
-1 check failure or undefined result, 2 usage or syntax errors.  Alphabets
+1 check failure or undefined result, 2 usage or syntax errors, expressions
+nested too deeply and values past the oracle's limit.  Alphabets
 come from --sigma/--gamma or a key=value config file.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 from .expr import RteSyntaxError, label_occurrences, parse_rte, pretty, size, width
 from .machines import (enumerate_outputs, is_reversible, minimize_dfa,
                        nfa_accepts, run_two_way, to_dot, to_json_dict)
-from .oracle import Oracle, check_kstar_conditions
+from .oracle import Oracle, OracleLimitError, check_kstar_conditions
 from .evaluator_build import build_evaluator, evaluator_shape_ok
 from .parser_build import build_parser, parser_invariants_ok
 from .pipeline import build_pipeline, check_size_bounds, dom_dfa, udom_dfa
@@ -293,6 +294,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except RteSyntaxError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("expression nested too deeply", file=sys.stderr)
+        return 2
+    except OracleLimitError as exc:
+        print("oracle limit: %s" % exc, file=sys.stderr)
         return 2
 
 

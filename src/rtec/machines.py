@@ -257,9 +257,28 @@ class OneWayTransducer:
 
     @cached_property
     def index(self) -> MoveIndex:
-        """The transitions by state, both ways, built on first use and kept;
-        the transition list must not change after that."""
-        return MoveIndex(self.transitions, reverse=True)
+        """The transitions between useful states (reachable and
+        co-reachable), in construction order and by state both ways, built
+        on first use and kept; the transition list must not change after
+        that.  No accepting run uses another move."""
+        fwd, bwd = {}, {}
+        for (s, _a, _o, d) in self.transitions:
+            fwd.setdefault(s, []).append(d)
+            bwd.setdefault(d, []).append(s)
+        useful = _walk({self.initial}, fwd) & _walk(set(self.finals), bwd)
+        return MoveIndex([t for t in self.transitions
+                          if t[0] in useful and t[3] in useful], reverse=True)
+
+
+def _walk(start: set, adj: dict) -> set:
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for d in adj.get(stack.pop(), ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
 
 
 @dataclass
@@ -331,6 +350,24 @@ class TwoWayTransducer:
     def successors(self, state: int, sym: Sym):
         return self.delta.get((state, sym), ())
 
+    @cached_property
+    def table(self) -> tuple:
+        """(symbol ids, moves): the single moves of delta keyed by
+        id * n_states + state, each as (dst, out, sign of dst), which is how
+        far the read position moves.  Built on the first run and kept; delta
+        must not change after that."""
+        ids = {}
+        moves = {}
+        shared = {}  # many moves share one entry, such as a scan's loop
+        for (state, sym), ms in self.delta.items():
+            if len(ms) == 1:
+                (dst, out) = ms[0]
+                sid = ids.setdefault(sym, len(ids))
+                move = (dst, out, self.signs[dst])
+                moves[sid * self.n_states + state] = shared.setdefault(move,
+                                                                       move)
+        return ids, moves
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -356,42 +393,46 @@ def run_two_way(t: TwoWayTransducer, word,
                 want_trace: bool = False) -> TwoWayResult:
     """Simulate the deterministic machine t on |- word -|.
 
-    Runs step by step with configuration-repeat detection; a configuration
-    with more than one move raises MachineError.  Acceptance needs a final
-    state with the whole tape, right endmarker included, consumed.
+    Steps by lookup in `t.table`.  A run longer than the number of
+    configurations, n_states * (|w| + 3), has repeated one and loops
+    forever, so it stops there as "loop"; a configuration with more than one
+    move raises MachineError.  Acceptance needs a final state with the whole
+    tape, right endmarker included, consumed.
     """
     syms = letters(word) if isinstance(word, str) else tuple(word)
     tape = (LEFT_END,) + syms + (RIGHT_END,)
     n = len(tape)
-    state, boundary = t.initial, 0
+    ids, table = t.table
+    k = t.n_states
+    # key base per read position; a symbol with no single move has id -1,
+    # and the extra last entry serves both off-tape positions, -1 and n, so
+    # all of these give negative keys, which the table never holds
+    base = [ids.get(s, -1) * k for s in tape]
+    base.append(-k)
+    finals, signs = t.finals, t.signs
+    state = t.initial
+    pos = _read_position(signs[state], 0)
     out = []
-    trace = [Configuration(state, boundary)] if want_trace else []
-    seen = {(state, boundary)}
-    while True:
-        if state in t.finals and boundary == n:
+    trace = [Configuration(state, 0)] if want_trace else []
+    for _ in range(k * (n + 1)):
+        if state in finals and pos + (signs[state] < 0) == n:
             return TwoWayResult("accept", "".join(out), trace)
-        pos = _read_position(t.signs[state], boundary)
-        if pos < 0 or pos >= n:
+        move = table.get(base[pos] + state)
+        if move is None:
+            if 0 <= pos < n:
+                moves = t.successors(state, tape[pos])
+                if len(moves) > 1:
+                    raise MachineError("state %d has %d moves on %s"
+                                       % (state, len(moves),
+                                          render(tape[pos])))
             return TwoWayResult("reject", None, trace)
-        moves = t.successors(state, tape[pos])
-        if not moves:
-            return TwoWayResult("reject", None, trace)
-        if len(moves) > 1:
-            raise MachineError("state %d has %d moves on %s"
-                               % (state, len(moves), render(tape[pos])))
-        (dst, o) = moves[0]
+        (state, o, d) = move
+        pos += d
         if o:
             out.append(o)
-        if t.signs[state] > 0:
-            boundary = boundary + 1 if t.signs[dst] > 0 else boundary
-        else:
-            boundary = boundary if t.signs[dst] > 0 else boundary - 1
-        state = dst
         if want_trace:
-            trace.append(Configuration(state, boundary))
-        if (state, boundary) in seen:
-            return TwoWayResult("loop", None, trace)
-        seen.add((state, boundary))
+            trace.append(Configuration(state, pos + (signs[state] < 0)))
+    return TwoWayResult("loop", None, trace)
 
 
 def audit_trace(t: TwoWayTransducer, word, trace) -> bool:

@@ -21,6 +21,10 @@ from .symbols import (is_letter, lclose, letter, letters, lopen,
 MAX_OUTPUT_LEN = 64
 
 
+class OracleLimitError(ValueError):
+    """A value the oracle cannot give because enumeration dropped it."""
+
+
 @dataclass
 class BoundedSet:
     """Finite enumeration result; exact unless `truncated` is set."""
@@ -332,6 +336,10 @@ class Oracle:
         if not self.udom(h, w):
             return None
         vals = self.rsem(h, w)
+        if len(vals.items) != 1 and vals.truncated:
+            raise OracleLimitError(
+                "the value on a word of %d letters is longer than "
+                "MAX_OUTPUT_LEN = %d letters" % (len(w), MAX_OUTPUT_LEN))
         assert len(vals.items) == 1, "udom word with non-singleton image"
         return next(iter(vals.items))
 

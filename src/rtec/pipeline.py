@@ -215,12 +215,27 @@ class UniformParser:
         self.index = parser.index
 
     def _coreach(self, syms):
+        """Co-reachable states per position.  A set depends only on the
+        next one and the letter between, so each (set, letter) pair is
+        computed once per call."""
         index = self.index
+        memo = {}
         co = [None] * (len(syms) + 1)
-        co[-1] = index.coclosure({self.final})
+        cur = co[-1] = frozenset(index.coclosure({self.final}))
         for t in range(len(syms) - 1, -1, -1):
-            co[t] = index.coclosure(index.back_step(co[t + 1], syms[t]))
+            key = (cur, syms[t])
+            prev = memo.get(key)
+            if prev is None:
+                prev = memo[key] = frozenset(
+                    index.coclosure(index.back_step(cur, syms[t])))
+            co[t] = cur = prev
         return co
+
+    def accepts(self, word) -> bool:
+        """True when `word` lies in the parser's domain; the backward pass
+        alone decides it."""
+        syms = letters(word) if isinstance(word, str) else tuple(word)
+        return self.parser.initial in self._coreach(syms)[0]
 
     def parse(self, word):
         """The selected parsing of `word`, or None outside the domain."""
@@ -459,7 +474,7 @@ class Pipeline:
         """True when the word has exactly one parsing: the complement
         acceptor lets it through and it lies in the parser's domain."""
         return self.acceptor.accepts(word) and \
-            self.uniformizer.parse(word) is not None
+            self.uniformizer.accepts(word)
 
     def run_unambiguous(self, word: str):
         if not self.acceptor.accepts(word):

@@ -19,6 +19,14 @@ def words_upto(n, sigma=SIGMA):
     return out
 
 
+def nested_factors(k):
+    """k right-nested (a -> "c") factors, defined on a^k only."""
+    text = '(a -> "c")'
+    for _ in range(k - 1):
+        text = '(a -> "c") . (%s)' % text
+    return text
+
+
 @pytest.fixture(scope="session")
 def short_words():
     return words_upto(5)

@@ -3,6 +3,8 @@ import json
 from rtec.cli import main
 from rtec.expr import MAX_NESTING
 
+from conftest import nested_factors
+
 
 def test_eval_unambiguous(capsys):
     rc = main(["eval", "--expr", "dup{#}", "--sigma", "ab",
@@ -118,3 +120,21 @@ def test_config_file(tmp_path, capsys):
     rc = main(["eval", "--expr", '(a -> "c")', "--config", str(conf), "a"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == '"c"'
+
+
+def test_deep_tree_exit_code(capsys):
+    # 600 postfix stars nest without parentheses, so MAX_NESTING does not
+    # stop them
+    rc = main(["eval", "--expr", '(a -> "x")' + "*" * 600, "--sigma", "ab",
+               "--gamma", "x", "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "expression nested too deeply"
+    assert "Traceback" not in err
+
+
+def test_oracle_limit_exit_code(capsys):
+    rc = main(["oracle", "--expr", nested_factors(65), "--sigma", "ab",
+               "--gamma", "c", "a" * 65])
+    assert rc == 2
+    assert "MAX_OUTPUT_LEN" in capsys.readouterr().err

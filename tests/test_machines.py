@@ -188,5 +188,39 @@ def test_nondeterministic_two_way_raises():
     m = TwoWayTransducer(4, [1, 1, 1, 1], 0, frozenset({3}), delta,
                          frozenset({A, LEFT_END, RIGHT_END}))
     assert not is_deterministic(m)
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match=r"^state 0 has 2 moves on \|-$"):
         run_two_way(m, "aa")
+
+
+def test_index_holds_only_useful_states():
+    from rtec.parser_build import build_parser, parser_size_formula
+    from rtec.pipeline import check_size_bounds
+    h = mk('((a+b)* -> "x") odot rev')
+    parser = build_parser(h, SIGMA)
+
+    def walk(start, edges):
+        seen, todo = set(start), list(start)
+        while todo:
+            s = todo.pop()
+            for (x, y) in edges:
+                if x == s and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    edges = [(s, d) for (s, _a, _o, d) in parser.transitions]
+    useful = (walk({parser.initial}, edges)
+              & walk(parser.finals, [(d, s) for (s, d) in edges]))
+    index = parser.index
+    filed = {x for moves in (*index.eps.values(), *index.letter.values())
+             for (s, _a, _o, d) in moves for x in (s, d)}
+    assert filed == useful
+    assert len(useful) < parser.n_states == parser_size_formula(h) == 32
+    assert check_size_bounds(h, SIGMA).ok
+
+
+def test_two_way_rejects_foreign_letter():
+    m = reversible_acceptor()
+    assert run_two_way(m, "ab").status == "accept"
+    assert run_two_way(m, "az").status == "reject"
+    assert run_two_way(m, "z").status == "reject"

@@ -1,11 +1,14 @@
 import random
 
-from rtec.oracle import Oracle, check_kstar_conditions
+import pytest
+
+from rtec.oracle import (MAX_OUTPUT_LEN, Oracle, OracleLimitError,
+                         check_kstar_conditions)
 from rtec.expr import label_occurrences
 from rtec.corpus import _random_expr
 from rtec.symbols import parse_word, render_word
 
-from conftest import mk, words_upto
+from conftest import mk, nested_factors, words_upto
 
 
 def test_rsem_star_copy_count():
@@ -186,3 +189,13 @@ def test_truncation_flags():
     assert o2.rsem(h2, "aa").items == {"cc"}
     assert not o2.rsem(h2, "aa").truncated
     assert o2.parsings(h2, "aa").truncated
+
+
+def test_usem_output_limit():
+    # a value of MAX_OUTPUT_LEN letters is enumerated, a longer one is not
+    k = MAX_OUTPUT_LEN
+    h = mk(nested_factors(k))
+    assert Oracle(h).usem(h, "a" * k) == "c" * k
+    h = mk(nested_factors(k + 1))
+    with pytest.raises(OracleLimitError, match="MAX_OUTPUT_LEN"):
+        Oracle(h).usem(h, "a" * (k + 1))
