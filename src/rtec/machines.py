@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .symbols import LEFT_END, RIGHT_END, Sym, letters, render
 
@@ -290,26 +291,24 @@ class EnumResult:
 def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
     """All outputs of t on `word`, with a guard against epsilon cycles.
 
-    Runs longer than n_states * max(1, |alphabet|) * 4 consecutive epsilon
-    moves, or that revisit a state within one epsilon run (a pumpable cycle,
-    hence an infinite output set), are cut off and reported via the
-    truncated flag.
+    A run that revisits a state within one epsilon run (a pumpable cycle,
+    hence an infinite output set) is cut off and reported via the truncated
+    flag.
     """
     syms = letters(word) if isinstance(word, str) else tuple(word)
-    max_eps_run = t.n_states * max(1, len(t.input_alphabet)) * 4
     index = t.index
     res = EnumResult(set())
     out_acc = []
 
-    def moves(state, pos, eps_seen, eps_len):
+    def moves(state, pos, eps_seen):
         if pos < len(syms):
             for (_s, _a, out, d) in index.letter.get((state, syms[pos]), ()):
-                yield (out, d, pos + 1, frozenset((d,)), 0)
+                yield (out, d, pos + 1, frozenset((d,)))
         for (_s, _a, out, d) in index.eps.get(state, ()):
-            if d in eps_seen or eps_len + 1 > max_eps_run:
+            if d in eps_seen:
                 res.truncated = True
                 continue
-            yield (out, d, pos, eps_seen | {d}, eps_len + 1)
+            yield (out, d, pos, eps_seen | {d})
 
     def visit(state, pos):
         if state in t.finals and pos == len(syms):
@@ -317,7 +316,7 @@ def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
 
     visit(t.initial, 0)
     # stack frames own one output chunk each, popped on frame exit
-    stack = [(moves(t.initial, 0, frozenset({t.initial}), 0), False)]
+    stack = [(moves(t.initial, 0, frozenset({t.initial})), False)]
     while stack:
         it, owns_chunk = stack[-1]
         step = next(it, None)
@@ -326,10 +325,10 @@ def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
             if owns_chunk:
                 out_acc.pop()
             continue
-        (out, d, pos, eps_seen, eps_len) = step
+        (out, d, pos, eps_seen) = step
         out_acc.append(out)
         visit(d, pos)
-        stack.append((moves(d, pos, eps_seen, eps_len), True))
+        stack.append((moves(d, pos, eps_seen), True))
     return res
 
 
@@ -369,8 +368,7 @@ class TwoWayTransducer:
         return ids, moves
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Between-positions configuration: boundary index into |- w -|."""
 
     state: int
@@ -439,18 +437,21 @@ def audit_trace(t: TwoWayTransducer, word, trace) -> bool:
     """Check a trace against the successor relation, step by step."""
     syms = letters(word) if isinstance(word, str) else tuple(word)
     tape = (LEFT_END,) + syms + (RIGHT_END,)
-    for (cur, nxt) in zip(trace, trace[1:]):
-        pos = _read_position(t.signs[cur.state], cur.boundary)
+    delta, signs = t.delta, t.signs
+    for ((state, boundary), (nstate, nboundary)) in zip(trace, trace[1:]):
+        pos = _read_position(signs[state], boundary)
         if pos < 0 or pos >= len(tape):
             return False
-        moves = t.successors(cur.state, tape[pos])
-        if not any(d == nxt.state for (d, _o) in moves):
-            return False
-        if t.signs[cur.state] > 0:
-            want = cur.boundary + 1 if t.signs[nxt.state] > 0 else cur.boundary
+        for (d, _o) in delta.get((state, tape[pos]), ()):
+            if d == nstate:
+                break
         else:
-            want = cur.boundary if t.signs[nxt.state] > 0 else cur.boundary - 1
-        if nxt.boundary != want:
+            return False
+        if signs[state] > 0:
+            want = boundary + 1 if signs[nstate] > 0 else boundary
+        else:
+            want = boundary if signs[nstate] > 0 else boundary - 1
+        if nboundary != want:
             return False
     return True
 

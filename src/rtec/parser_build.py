@@ -7,9 +7,19 @@ State counts follow the per-combinator construction exactly: base nl(e)+3,
 sum |f|+|g|, products 1+|f|+|g|, stars 1+|f|, basic functions 3, Hadamard
 2*|f|*|g|+2, chained star k^2(nl+1)(|f|+1)^k + (k-1)(nl+1) + 2 (one more for
 k = 1, where the short-word branch still needs its single state).
+
+A parser is written in one pass into one builder: each sub-parser goes in
+place between the entry and exit states its parent hands it.  The Hadamard
+and chained-star products reserve their whole nominal block of tuple ids, so
+the state counts above hold, but wire only the tuples reachable from their
+initial tuple; the other ids carry no transitions.  Each source state lists
+its moves in the order of the construction, which the uniformizer's choice
+of the first co-reachable move reads.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, nl)
@@ -34,129 +44,108 @@ class _Builder:
     def add(self, src, insym, outsym, dst):
         self.transitions.append((src, insym, (outsym,), dst))
 
-    def embed(self, sub: OneWayTransducer, merge: dict) -> dict:
-        """Copy a sub-parser, identifying the states in `merge` with existing
-        ones and allocating fresh ids for the rest; returns the state map."""
-        m = dict(merge)
-        for s in range(sub.n_states):
-            if s not in m:
-                m[s] = self.state()
-        for (src, a, out, dst) in sub.transitions:
-            self.transitions.append((m[src], a, out, m[dst]))
-        return m
-
-    def done(self, initial, final, sigma) -> OneWayTransducer:
-        return OneWayTransducer(self.n, initial, frozenset({final}),
-                                self.transitions,
-                                frozenset(letter(c) for c in sigma))
-
 
 def build_parser(h: LabeledExpr, sigma: str) -> OneWayTransducer:
+    b = _Builder()
+    q0, qf = b.states(2)
+    _emit(h, sigma, b, q0, qf)
+    return OneWayTransducer(b.n, q0, frozenset({qf}), b.transitions,
+                            frozenset(letter(c) for c in sigma))
+
+
+def _emit(h: LabeledExpr, sigma: str, b: _Builder, q_in: int, q_out: int):
+    """Write h's parser into b with q_in as its initial state and q_out as
+    its final state."""
     if h.kind == BASE:
-        return _parser_base(h, sigma)
-    if h.kind == SUM:
-        return _parser_sum(h, sigma)
-    if h.kind in (CAUCHY, CAUCHY_REV):
-        return _parser_cauchy(h, sigma)
-    if h.kind in (STAR, STAR_REV):
-        return _parser_star(h, sigma)
-    if h.kind in (DUP, REV):
-        return _parser_basefun(h, sigma)
-    if h.kind == HADAMARD:
-        return _parser_hadamard(h, sigma)
-    if h.kind in (KSTAR, KSTAR_REV):
-        return _parser_kstar(h, sigma)
-    raise ValueError(h.kind)
+        e_nfa = glushkov(h.regex, sigma)
+        off = b.n
+        b.n += e_nfa.n_states
+        b.add(q_in, None, lopen(h.occ), off + e_nfa.initial)
+        for (src, a, dst) in e_nfa.transitions:
+            b.add(off + src, a, a, off + dst)
+        for s in e_nfa.finals:
+            b.add(off + s, None, lclose(h.occ), q_out)
+    elif h.kind in (DUP, REV):
+        mid = b.state()
+        b.add(q_in, None, lopen(h.occ), mid)
+        for c in sigma:
+            b.add(mid, letter(c), letter(c), mid)
+        b.add(mid, None, lclose(h.occ), q_out)
+    elif h.kind == SUM:
+        j_in, j_out = b.states(2)
+        b.add(q_in, None, lopen(h.occ), j_in)
+        _emit(h.left, sigma, b, j_in, j_out)
+        _emit(h.right, sigma, b, j_in, j_out)
+        b.add(j_out, None, lclose(h.occ), q_out)
+    elif h.kind in (CAUCHY, CAUCHY_REV):
+        f_in, mid, g_out = b.states(3)
+        b.add(q_in, None, lopen(h.occ), f_in)
+        _emit(h.left, sigma, b, f_in, mid)
+        _emit(h.right, sigma, b, mid, g_out)
+        b.add(g_out, None, lclose(h.occ), q_out)
+    elif h.kind in (STAR, STAR_REV):
+        junc = b.state()
+        b.add(q_in, None, lopen(h.occ), junc)
+        b.add(junc, None, lclose(h.occ), q_out)
+        _emit(h.left, sigma, b, junc, junc)
+    elif h.kind == HADAMARD:
+        _emit_hadamard(h, sigma, b, q_in, q_out)
+    elif h.kind in (KSTAR, KSTAR_REV):
+        _emit_kstar(h, sigma, b, q_in, q_out)
+    else:
+        raise ValueError(h.kind)
 
 
-def _parser_base(h: LabeledExpr, sigma: str) -> OneWayTransducer:
-    e_nfa = glushkov(h.regex, sigma)
-    b = _Builder()
-    q0 = b.state()
-    qf = b.state()
-    base_of = {s: b.state() for s in range(e_nfa.n_states)}
-    b.add(q0, None, lopen(h.occ), base_of[e_nfa.initial])
-    for (src, a, dst) in e_nfa.transitions:
-        b.add(base_of[src], a, a, base_of[dst])
-    for s in e_nfa.finals:
-        b.add(base_of[s], None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
+def _emit_reachable(b: _Builder, start, tid, moves, accepting, close, q_out):
+    """Wire the product tuples reachable from `start`.  `tid` numbers a
+    tuple, `moves` yields its (insym, outsym, tuple) moves and `accepting`
+    tells whether it also closes into q_out, which is its last move."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        key = todo.pop()
+        src = tid(key)
+        for (a, out, dst) in moves(key):
+            b.add(src, a, out, tid(dst))
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+        if accepting(key):
+            b.add(src, None, close, q_out)
 
 
-def _parser_basefun(h: LabeledExpr, sigma: str) -> OneWayTransducer:
-    b = _Builder()
-    q0, mid, qf = b.states(3)
-    b.add(q0, None, lopen(h.occ), mid)
-    for c in sigma:
-        b.add(mid, letter(c), letter(c), mid)
-    b.add(mid, None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
-
-
-def _parser_sum(h: LabeledExpr, sigma: str) -> OneWayTransducer:
+def _emit_hadamard(h, sigma, b, q_in, q_out):
+    """Tuples (s, t, bit) of f's and g's states, numbered from a reserved
+    block of 2|f||g| ids; bit 1 once g has moved alone, after which f waits
+    for the next letter."""
     pf = build_parser(h.left, sigma)
     pg = build_parser(h.right, sigma)
-    b = _Builder()
-    q0, junc_in, junc_out, qf = b.states(4)
-    b.add(q0, None, lopen(h.occ), junc_in)
-    mf = b.embed(pf, {pf.initial: junc_in, next(iter(pf.finals)): junc_out})
-    b.embed(pg, {pg.initial: junc_in, next(iter(pg.finals)): junc_out})
-    b.add(junc_out, None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
-
-
-def _parser_cauchy(h: LabeledExpr, sigma: str) -> OneWayTransducer:
-    pf = build_parser(h.left, sigma)
-    pg = build_parser(h.right, sigma)
-    b = _Builder()
-    q0, qf = b.states(2)
-    mf = b.embed(pf, {})
-    b.add(q0, None, lopen(h.occ), mf[pf.initial])
-    mg = b.embed(pg, {pg.initial: mf[next(iter(pf.finals))]})
-    b.add(mg[next(iter(pg.finals))], None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
-
-
-def _parser_star(h: LabeledExpr, sigma: str) -> OneWayTransducer:
-    pf = build_parser(h.left, sigma)
-    b = _Builder()
-    q0, junc, qf = b.states(3)
-    b.add(q0, None, lopen(h.occ), junc)
-    b.add(junc, None, lclose(h.occ), qf)
-    b.embed(pf, {pf.initial: junc, next(iter(pf.finals)): junc})
-    return b.done(q0, qf, sigma)
-
-
-def _parser_hadamard(h: LabeledExpr, sigma: str) -> OneWayTransducer:
-    pf = build_parser(h.left, sigma)
-    pg = build_parser(h.right, sigma)
-    b = _Builder()
-    q0, qf = b.states(2)
-    idx = {}
-    for s in range(pf.n_states):
-        for t in range(pg.n_states):
-            for bit in (0, 1):
-                idx[(s, t, bit)] = b.state()
     fi, gi = MoveIndex(pf.transitions), MoveIndex(pg.transitions)
     alphabet = [letter(c) for c in sigma]
-    for s in range(pf.n_states):
-        for t in range(pg.n_states):
-            for bit in (0, 1):
-                src = idx[(s, t, bit)]
-                if bit == 0:
-                    for (_s, _a, out, s2) in fi.eps.get(s, ()):
-                        b.add(src, None, out[0], idx[(s2, t, 0)])
-                for (_t, _a, out, t2) in gi.eps.get(t, ()):
-                    b.add(src, None, out[0], idx[(s, t2, 1)])
-                for a in alphabet:
-                    for (_s, _a, _o, s2) in fi.letter.get((s, a), ()):
-                        for (_t, _a, _o, t2) in gi.letter.get((t, a), ()):
-                            b.add(src, a, a, idx[(s2, t2, 0)])
-    b.add(q0, None, lopen(h.occ),
-          idx[(pf.initial, pg.initial, 0)])
-    b.add(idx[(next(iter(pf.finals)), next(iter(pg.finals)), 1)],
-          None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
+    off, ng = b.n, pg.n_states
+    b.n += 2 * pf.n_states * ng
+
+    def tid(key):
+        (s, t, bit) = key
+        return off + (s * ng + t) * 2 + bit
+
+    def moves(key):
+        (s, t, bit) = key
+        if bit == 0:
+            for (_s, _a, out, s2) in fi.eps.get(s, ()):
+                yield (None, out[0], (s2, t, 0))
+        for (_t, _a, out, t2) in gi.eps.get(t, ()):
+            yield (None, out[0], (s, t2, 1))
+        for a in alphabet:
+            for (_s, _a, _o, s2) in fi.letter.get((s, a), ()):
+                for (_t, _a, _o, t2) in gi.letter.get((t, a), ()):
+                    yield (a, a, (s2, t2, 0))
+
+    start = (pf.initial, pg.initial, 0)
+    end = (next(iter(pf.finals)), next(iter(pg.finals)), 1)
+    b.add(q_in, None, lopen(h.occ), tid(start))
+    _emit_reachable(b, start, tid, moves, lambda key: key == end,
+                    lclose(h.occ), q_out)
 
 
 def _mod(x: int, k: int) -> int:
@@ -164,26 +153,33 @@ def _mod(x: int, k: int) -> int:
     return (x - 1) % k + 1
 
 
-def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
+def _emit_kstar(h, sigma, b, q_in, q_out):
     """Union of the generic branch (>= k blocks, the big product machine) and
-    the short-word branch counting fewer than k factors."""
+    the short-word branch counting fewer than k factors.
+
+    A generic tuple (i, q, comps, j) holds the current block index i, the
+    block automaton's state q, one component per block index (a state of
+    f's parser or the idle value) and the last component that moved, j.
+    Tuples are numbered from a reserved block in the mixed radix of i, q, j
+    and the components, in that order of significance."""
     k = h.k
     pf = build_parser(h.left, sigma)
     ae = glushkov(h.regex, sigma)
     qf_f = next(iter(pf.finals))
     fi, ae_moves = MoveIndex(pf.transitions), MoveIndex(ae.transitions)
     alphabet = [letter(c) for c in sigma]
-
-    b = _Builder()
-    q0, qf = b.states(2)
     bot = pf.n_states  # the idle component value
-    comp_vals = list(range(pf.n_states)) + [bot]
+    radix = pf.n_states + 1
+    block = radix ** k
+    off = b.n
+    b.n += k * ae.n_states * k * block
 
-    idx = {}
-    for i in range(1, k + 1):
-        for q in range(ae.n_states):
-            for j in range(1, k + 1):
-                _alloc_tuples(b, idx, i, q, j, comp_vals, k)
+    def tid(key):
+        (i, q, comps, j) = key
+        x = 0
+        for c in comps:
+            x = x * radix + c
+        return off + (((i - 1) * ae.n_states + q) * k + j - 1) * block + x
 
     def rank(i, l):
         # position of component l in the order <=_i (i+1 mod k least, i greatest)
@@ -193,12 +189,20 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
         # output symbol of component i: parenthesis indexed by i
         return (s[0], s[1], s[2] + (i,))
 
-    for (i, q, comps, j), src in idx.items():
+    def moves(key):
+        (i, q, comps, j) = key
         m = _mod(i + 1, k)
         # case 1: synchronized letter step
         for a in alphabet:
-            for (_q, _a, q2) in ae_moves.letter.get((q, a), ()):
-                _letter_moves(b, idx, src, i, q2, comps, a, fi, bot, m, k)
+            q2s = ae_moves.letter.get((q, a), ())
+            if not q2s:
+                continue
+            options = [(bot,) if c == bot
+                       else [t[3] for t in fi.letter.get((c, a), ())]
+                       for c in comps]
+            for (_q, _a, q2) in q2s:
+                for nc in product(*options):
+                    yield (a, a, (i, q2, nc, m))
         # case 2: a component emits an inner parenthesis
         for l in range(1, k + 1):
             ql = comps[l - 1]
@@ -210,7 +214,7 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
                 if q2 == qf_f:
                     continue
                 nc = comps[:l - 1] + (q2,) + comps[l:]
-                b.add(src, None, tag(out[0], l), idx[(i, q, nc, l)])
+                yield (None, tag(out[0], l), (i, q, nc, l))
         if q in ae.finals and comps[i - 1] != pf.initial:
             # case 3: close the block whose index is m
             qm = comps[m - 1]
@@ -219,7 +223,7 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
                     if q2 != qf_f:
                         continue
                     nc = comps[:m - 1] + (qf_f,) + comps[m:]
-                    b.add(src, None, tag(out[0], m), idx[(i, q, nc, j)])
+                    yield (None, tag(out[0], m), (i, q, nc, j))
             # case 4: factor boundary.  The construction also states a
             # not-accepting guard here; it is vacuous for k >= 2 (the forced
             # idle guess kills such runs) and would wrongly cut the k = 1
@@ -228,76 +232,44 @@ def _parser_kstar(h: LabeledExpr, sigma: str) -> OneWayTransducer:
                 guesses = (bot,) if comps[i - 1] == bot else (bot, pf.initial)
                 for g in guesses:
                     nc = comps[:m - 1] + (g,) + comps[m:]
-                    b.add(src, None, sep(h.occ), idx[(m, ae.initial, nc, m)])
+                    yield (None, sep(h.occ), (m, ae.initial, nc, m))
 
-    init_comps = (pf.initial,) + (bot,) * (k - 1)
-    gen_init = idx[(1, ae.initial, init_comps, 1)]
-    b.add(q0, None, lopen(h.occ), gen_init)
-    for key, s in idx.items():
-        if _is_final(key[0], key[1], key[2], ae, qf_f, bot, k):
-            b.add(s, None, lclose(h.occ), qf)
+    def accepting(key):
+        (i, q, comps, _j) = key
+        if q not in ae.finals:
+            return False
+        m = _mod(i + 1, k)
+        if comps[m - 1] != qf_f:
+            return False
+        return all(comps[l] == bot for l in range(k) if l != m - 1)
+
+    start = (1, ae.initial, (pf.initial,) + (bot,) * (k - 1), 1)
+    b.add(q_in, None, lopen(h.occ), tid(start))
+    _emit_reachable(b, start, tid, moves, accepting, lclose(h.occ), q_out)
 
     # short-word branch: counts L(e) factors up to k-1; its initial state is
     # accepting so the empty factorization (n = 0) is parsed as ()
     if k == 1:
         s0 = b.state()
-        b.add(q0, None, lopen(h.occ), s0)
-        b.add(s0, None, lclose(h.occ), qf)
-    else:
-        short = {}
-        for q in range(ae.n_states):
-            for c in range(1, k):
-                short[(q, c)] = b.state()
-        for (q, c), src in short.items():
+        b.add(q_in, None, lopen(h.occ), s0)
+        b.add(s0, None, lclose(h.occ), q_out)
+        return
+    short = b.n
+    b.n += ae.n_states * (k - 1)
+
+    def sid(q, c):
+        return short + q * (k - 1) + c - 1
+
+    b.add(q_in, None, lopen(h.occ), sid(ae.initial, 1))
+    for q in range(ae.n_states):
+        for c in range(1, k):
             for a in alphabet:
                 for (_q, _a, q2) in ae_moves.letter.get((q, a), ()):
-                    b.add(src, a, a, short[(q2, c)])
+                    b.add(sid(q, c), a, a, sid(q2, c))
             if q in ae.finals and c + 1 < k:
-                b.add(src, None, sep(h.occ), short[(ae.initial, c + 1)])
-        b.add(q0, None, lopen(h.occ), short[(ae.initial, 1)])
-        for (q, c), src in short.items():
+                b.add(sid(q, c), None, sep(h.occ), sid(ae.initial, c + 1))
             if q in ae.finals or (q, c) == (ae.initial, 1):
-                b.add(src, None, lclose(h.occ), qf)
-    return b.done(q0, qf, sigma)
-
-
-def _alloc_tuples(b, idx, i, q, j, comp_vals, k):
-    def go(prefix):
-        if len(prefix) == k:
-            idx[(i, q, tuple(prefix), j)] = b.state()
-            return
-        for v in comp_vals:
-            go(prefix + [v])
-    go([])
-
-
-def _letter_moves(b, idx, src, i, q2, comps, a, fi, bot, m, k):
-    options = []
-    for ql in comps:
-        if ql == bot:
-            options.append([bot])
-        else:
-            nxt = [t[3] for t in fi.letter.get((ql, a), ())]
-            if not nxt:
-                return
-            options.append(nxt)
-
-    def go(pos, acc):
-        if pos == k:
-            b.add(src, a, a, idx[(i, q2, tuple(acc), m)])
-            return
-        for v in options[pos]:
-            go(pos + 1, acc + [v])
-    go(0, [])
-
-
-def _is_final(i, q, comps, ae, qf_f, bot, k) -> bool:
-    if q not in ae.finals:
-        return False
-    m = _mod(i + 1, k)
-    if comps[m - 1] != qf_f:
-        return False
-    return all(comps[l] == bot for l in range(k) if l != m - 1)
+                b.add(sid(q, c), None, lclose(h.occ), q_out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import random
 
 from rtec.expr import label_occurrences
-from rtec.machines import minimize_dfa, nfa_accepts
+from rtec.machines import (enumerate_outputs, minimize_dfa, nfa_accepts,
+                           run_two_way)
 from rtec.oracle import Oracle
 from rtec.parser_build import build_parser
 from rtec.pipeline import (MacroStepTable, build_pipeline,
@@ -166,7 +167,6 @@ def test_corrupted_parser_detected_by_differential():
     o = Oracle(h)
     p = build_parser(h, SIGMA)
     p.transitions.pop()  # drop one transition
-    from rtec.machines import enumerate_outputs
     bad = [w for w in words_upto(3)
            if enumerate_outputs(p, w).outputs != o.parsings(h, w).items]
     assert bad
@@ -190,17 +190,35 @@ def test_cn_family_small():
 
 
 def test_cn_materialized_pipeline_matches_gate():
-    # at n = 2 the checker route is still buildable; cross-check the gates
-    sigma = cn_alphabet(2)
-    h = label_occurrences(cn_expression(2))
-    pl = build_pipeline(h, sigma)
-    ud = udom_dfa(h, sigma)
-    rng = random.Random(4)
-    words = {cn_word(2)} | {"".join(rng.choice(sigma) for _ in range(m))
-                            for m in range(7) for _ in range(12)}
-    for w in words:
-        assert pl.gate(w) == ud.accepts(w), w
-        assert pl.run_unambiguous(w) == ("" if w == cn_word(2) else None), w
+    # the checker route builds at these n; cross-check the gates
+    for n in (2, 4, 6):
+        sigma = cn_alphabet(n)
+        h = label_occurrences(cn_expression(n))
+        pl = build_pipeline(h, sigma)
+        ud = udom_dfa(h, sigma)
+        rng = random.Random(4)
+        words = {cn_word(n)} | {"".join(rng.choice(sigma) for _ in range(m))
+                                for m in range(7) for _ in range(12)}
+        for w in words:
+            assert pl.gate(w) == ud.accepts(w), (n, w)
+            assert pl.run_unambiguous(w) == ("" if w == cn_word(n)
+                                             else None), (n, w)
+
+
+def test_relational_values_on_truncated_words():
+    # criterion 2 skips words whose enumeration is cut at an epsilon cycle,
+    # but the values over the bracketings found must still be the oracle's
+    for text in ('(@ -> "x")*', '(@ -> "" + (a -> "c"))*'):
+        h = mk(text)
+        o = Oracle(h)
+        pl = build_pipeline(h, SIGMA)
+        for w in words_upto(4):
+            got = set()
+            for al in enumerate_outputs(pl.parser, w).outputs:
+                res = run_two_way(pl.evaluator, al)
+                assert res.status == "accept", (text, w)
+                got.add(res.output)
+            assert got == o.rsem(h, w).items, (text, w)
 
 
 def test_run_unambiguous_internal_error_on_corrupt_evaluator():
