@@ -63,17 +63,59 @@ class MoveIndex:
                     stack.append(d)
         return seen
 
-    def coclosure(self, states) -> set:
-        """States that reach `states` by epsilon moves."""
+    def coclosure(self, states, within=None) -> set:
+        """States that reach `states` by epsilon moves, passing only
+        through `within` when it is given."""
         seen = set(states)
         stack = list(states)
         rev = self.rev_eps
         while stack:
             for s in rev.get(stack.pop(), ()):
-                if s not in seen:
+                if s not in seen and (within is None or s in within):
                     seen.add(s)
                     stack.append(s)
         return seen
+
+    @cached_property
+    def eps_cyclic(self) -> frozenset:
+        """States on a cycle of epsilon moves, from one pass of Tarjan's
+        strongly connected components algorithm, without recursion."""
+        eps, k = self.eps, self.dst_pos
+        order, low = {}, {}
+        open_, on_open = [], set()
+        cyclic = set()
+        for root in eps:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            open_.append(root)
+            on_open.add(root)
+            work = [(root, iter(eps[root]))]
+            while work:
+                (v, moves) = work[-1]
+                for t in moves:
+                    d = t[k]
+                    if d not in order:
+                        order[d] = low[d] = len(order)
+                        open_.append(d)
+                        on_open.add(d)
+                        work.append((d, iter(eps.get(d, ()))))
+                        break
+                    if d in on_open and order[d] < low[v]:
+                        low[v] = order[d]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == order[v]:
+                        comp = [open_.pop()]
+                        while comp[-1] != v:
+                            comp.append(open_.pop())
+                        on_open.difference_update(comp)
+                        if len(comp) > 1 or any(t[k] == v
+                                                for t in eps.get(v, ())):
+                            cyclic.update(comp)
+        return frozenset(cyclic)
 
     def step(self, states, sym) -> set:
         """Targets of sym-moves out of `states`."""
@@ -291,44 +333,96 @@ class EnumResult:
 def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
     """All outputs of t on `word`, with a guard against epsilon cycles.
 
-    A run that revisits a state within one epsilon run (a pumpable cycle,
-    hence an infinite output set) is cut off and reported via the truncated
-    flag.
+    A forward subset pass over `t.index` gives the states reachable at each
+    position; a backward pass within those sets keeps the live ones, which
+    can still end in a final state after the last letter.  The walk then
+    visits nodes, sets of live configurations (state, position) that share
+    one output prefix.  A node's children are its configurations' moves
+    grouped by output, so when every move emits one symbol, as a parser's
+    do, no two nodes share a prefix and each output is found once.
+
+    A reachable state on an epsilon cycle (a pumpable cycle, hence possibly
+    an infinite output set) sets the truncated flag.  On such a word each
+    configuration also carries the states of its current epsilon run, and
+    an epsilon move back into one of them is cut off, as a run-by-run walk
+    would cut it; on any other word no run can revisit a state that way.
     """
     syms = letters(word) if isinstance(word, str) else tuple(word)
+    n = len(syms)
     index = t.index
-    res = EnumResult(set())
-    out_acc = []
-
-    def moves(state, pos, eps_seen):
-        if pos < len(syms):
-            for (_s, _a, out, d) in index.letter.get((state, syms[pos]), ()):
-                yield (out, d, pos + 1, frozenset((d,)))
-        for (_s, _a, out, d) in index.eps.get(state, ()):
-            if d in eps_seen:
+    cyclic = index.eps_cyclic
+    cur = frozenset(index.closure({t.initial}))
+    res = EnumResult(set(), not cyclic.isdisjoint(cur))
+    fwd = [cur]
+    memo = {}
+    for a in syms:
+        nxt = memo.get((cur, a))
+        if nxt is None:
+            nxt = memo[(cur, a)] = frozenset(index.closure(index.step(cur, a)))
+            if not nxt:
+                return res
+            if not res.truncated and not cyclic.isdisjoint(nxt):
                 res.truncated = True
-                continue
-            yield (out, d, pos, eps_seen | {d})
+        fwd.append(nxt)
+        cur = nxt
 
-    def visit(state, pos):
-        if state in t.finals and pos == len(syms):
-            res.outputs.add(tuple(x for chunk in out_acc for x in chunk))
+    live = [None] * (n + 1)
+    cur = live[n] = frozenset(index.coclosure(t.finals & fwd[n], fwd[n]))
+    memo = {}
+    for i in range(n - 1, -1, -1):
+        key = (cur, syms[i], fwd[i])
+        prev = memo.get(key)
+        if prev is None:
+            prev = memo[key] = frozenset(index.coclosure(
+                index.back_step(cur, syms[i]) & fwd[i], fwd[i]))
+        live[i] = cur = prev
+    if t.initial not in live[0]:
+        return res
 
-    visit(t.initial, 0)
-    # stack frames own one output chunk each, popped on frame exit
-    stack = [(moves(t.initial, 0, frozenset({t.initial})), False)]
+    letter, eps, finals = index.letter, index.eps, t.finals
+    runs = res.truncated  # whether configurations carry their epsilon run
+
+    def children(node):
+        # configurations are (state, position, epsilon run or None)
+        done = False
+        groups = {}
+        for (s, i, seen) in node:
+            if i == n:
+                done = done or s in finals
+            else:
+                nxt = live[i + 1]
+                for (_s, _a, o, d) in letter.get((s, syms[i]), ()):
+                    if d in nxt:
+                        groups.setdefault(o, set()).add(
+                            (d, i + 1, frozenset((d,)) if runs else None))
+            here = live[i]
+            for (_s, _a, o, d) in eps.get(s, ()):
+                if d in here:
+                    if not runs:
+                        groups.setdefault(o, set()).add((d, i, None))
+                    elif d not in seen:
+                        groups.setdefault(o, set()).add((d, i, seen | {d}))
+        return done, groups
+
+    out = []
+    start = {(t.initial, 0, frozenset((t.initial,)) if runs else None)}
+    # pending siblings: (node, length of the parent's prefix, own output);
+    # a node with one child hands over to it in place
+    stack = [(start, 0, ())]
     while stack:
-        it, owns_chunk = stack[-1]
-        step = next(it, None)
-        if step is None:
-            stack.pop()
-            if owns_chunk:
-                out_acc.pop()
-            continue
-        (out, d, pos, eps_seen) = step
-        out_acc.append(out)
-        visit(d, pos)
-        stack.append((moves(d, pos, eps_seen), True))
+        (node, depth, chunk) = stack.pop()
+        del out[depth:]
+        out.extend(chunk)
+        while True:
+            (done, groups) = children(node)
+            if done:
+                res.outputs.add(tuple(out))
+            if len(groups) != 1:
+                break
+            ((chunk, node),) = groups.items()
+            out.extend(chunk)
+        depth = len(out)
+        stack.extend((node, depth, chunk) for (chunk, node) in groups.items())
     return res
 
 

@@ -1,15 +1,22 @@
 import json
 import random
+import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rtec.expr import parse_regex
+from rtec import corpus
+from rtec.expr import label_occurrences, parse_regex, pretty
 from rtec.glushkov import glushkov
-from rtec.machines import (Dfa, MachineError, Nfa, OneWayTransducer,
-                           TwoWayTransducer, audit_trace, complement_dfa,
-                           determinize, enumerate_outputs, is_codeterministic,
-                           is_deterministic, is_reversible, minimize_dfa,
-                           nfa_accepts, run_two_way, to_dot, to_json_dict)
+from rtec.machines import (Dfa, MachineError, MoveIndex, Nfa,
+                           OneWayTransducer, TwoWayTransducer, audit_trace,
+                           complement_dfa, determinize, enumerate_outputs,
+                           is_codeterministic, is_deterministic,
+                           is_reversible, minimize_dfa, nfa_accepts,
+                           run_two_way, to_dot, to_json_dict)
+from rtec.oracle import Oracle
+from rtec.parser_build import build_parser
 from rtec.symbols import LEFT_END, RIGHT_END, letter, letters
 from rtec.corpus import _random_regex
 
@@ -106,12 +113,54 @@ def test_enumerate_outputs_identity():
     assert not res.truncated
 
 
+def test_eps_cyclic_states():
+    # a two-state cycle, a self-loop, a chain into the cycle, a letter cycle
+    trans = [(0, None, 1), (1, None, 0), (2, None, 2), (3, None, 0),
+             (4, A, 5), (5, A, 4), (5, None, 3)]
+    assert MoveIndex(trans).eps_cyclic == {0, 1, 2}
+
+
 def test_enumerate_outputs_epsilon_guard():
-    p = mk('(@ -> "x")*')
-    from rtec.parser_build import build_parser
-    parser = build_parser(p, SIGMA)
-    res = enumerate_outputs(parser, "a")
-    assert res.truncated
+    # the second word lies outside the domain but still reaches the cycle
+    for text in ('(@ -> "x")*', '(@ -> "x")* . (b -> "c")'):
+        res = enumerate_outputs(build_parser(mk(text), SIGMA), "a")
+        assert res.truncated, text
+    assert not res.outputs
+
+
+def test_enumerate_outputs_without_duplicate_runs():
+    # 3^(2n) accepting parser runs on a^n give one bracketing; walked run
+    # by run, a^6 alone took ~17 s
+    h = mk('(((a+a+a -> "y") odot (a+b+(a+a) -> "dx")) . (ab -> "c")*)*r',
+           corpus.SIGMA, corpus.GAMMA)
+    parser = build_parser(h, corpus.SIGMA)
+    for w in ("a" * 6, "a" * 12):
+        t0 = time.perf_counter()
+        res = enumerate_outputs(parser, w)
+        assert time.perf_counter() - t0 < 2.0, w
+        assert len(res.outputs) == 1 and not res.truncated, w
+        if len(w) == 6:
+            assert res.outputs == Oracle(h).parsings(h, w).items
+
+
+@settings(deadline=timedelta(milliseconds=150), max_examples=200,
+          database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       depth=st.integers(0, corpus.MAX_DEPTH - 1))
+def test_enumerate_outputs_matches_oracle(seed, depth):
+    # the deadline fails an example whose enumeration blows up: the run-by-
+    # run walk took ~250 ms on the expression above over these words
+    e = corpus._random_expr(random.Random(seed), depth)
+    assume(corpus.acceptable(e))
+    h = label_occurrences(e)
+    o = Oracle(h)
+    parser = build_parser(h, corpus.SIGMA)
+    for w in words_upto(4, corpus.SIGMA):
+        got = enumerate_outputs(parser, w)
+        exp = o.parsings(h, w)
+        if not exp.truncated:
+            assert not got.truncated, (pretty(e), w)
+            assert got.outputs == exp.items, (pretty(e), w)
 
 
 def test_determinize_preserves_language():

@@ -152,14 +152,17 @@ def test_macro_step_table():
     h = mk('(a -> "c") + (a -> "d")')
     p = build_parser(h, SIGMA)
     t = MacroStepTable(p)
-    a = ("a",)
     from rtec.symbols import letter
     same = t.same_targets(p.initial, p.initial, letter("a"))
     diff = t.diff_targets(p.initial, p.initial, letter("a"))
-    assert same and diff
-    # sides through distinct branches always appear in the diff relation
-    assert all(d1 == d2 for (d1, d2) in same) or same
-    assert any(d1 != d2 for (d1, d2) in diff)
+    # each side reads a in one of the two branches: with identical
+    # parentheses both take the same one, with differing outputs distinct ones
+    assert all(d1 == d2 for (d1, d2) in same)
+    assert all(d1 != d2 for (d1, d2) in diff)
+    assert not same & diff
+    branches = {d for (d, _d) in same}
+    assert len(branches) == 2
+    assert {d for pair in diff for d in pair} == branches
 
 
 def test_corrupted_parser_detected_by_differential():
