@@ -12,7 +12,7 @@ from .oracle import (BoundedSet, Oracle, OracleLimitError,
                      check_kstar_conditions, oracle_dom, oracle_parsings,
                      oracle_rsem, oracle_udom, oracle_usem, re_match)
 from .parser_build import build_parser, parser_invariants_ok
-from .evaluator_build import build_evaluator, ext_alphabet, lift_ignoring
+from .evaluator_build import build_evaluator, ext_alphabet
 from .pipeline import (MacroStepTable, Pipeline, UniformParser,
                        build_functionality_checker, build_pipeline,
                        build_unambiguity_acceptor, check_size_bounds,

@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .expr import RteSyntaxError, label_occurrences, parse_rte, pretty, size, width
+from .expr import (RteSyntaxError, TreeTooDeep, label_occurrences, parse_rte,
+                   pretty)
 from .machines import (enumerate_outputs, is_reversible, minimize_dfa,
                        nfa_accepts, run_two_way, to_dot, to_json_dict)
 from .oracle import Oracle, OracleLimitError, check_kstar_conditions
@@ -24,14 +25,26 @@ from .pipeline import build_pipeline, check_size_bounds, dom_dfa, udom_dfa
 from .symbols import render_word
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported in one line with exit code 2."""
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError("cannot read %s %s: %s"
+                         % (what, path, exc.strerror or exc))
+
+
 def _load_config(path: str) -> dict:
     conf = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read(path, "config file").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError("bad config line: %r" % line)
+            raise UsageError("bad config line in %s: %r" % (path, line))
         key, val = line.split("=", 1)
         conf[key.strip()] = val.strip()
     return conf
@@ -44,16 +57,16 @@ def _alphabets(args) -> tuple:
         sigma = sigma or conf.get("sigma")
         gamma = gamma or conf.get("gamma")
     if not sigma:
-        raise SystemExit("missing input alphabet (--sigma or config)")
+        raise UsageError("missing input alphabet (--sigma or config)")
     return sigma, gamma or ""
 
 
 def _expression(args, sigma, gamma):
     text = args.expr
     if args.expr_file:
-        text = Path(args.expr_file).read_text().strip()
+        text = _read(args.expr_file, "expression file").strip()
     if text is None:
-        raise SystemExit("missing expression (--expr or --expr-file)")
+        raise UsageError("missing expression (--expr or --expr-file)")
     return parse_rte(text, sigma, gamma), text
 
 
@@ -292,6 +305,12 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 2
+    except TreeTooDeep:
+        print("expression nested too deeply", file=sys.stderr)
+        return 2
     except RteSyntaxError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
         return 2

@@ -30,6 +30,10 @@ class _TooDeep(RteSyntaxError):
     """Nesting beyond MAX_NESTING: backtracking cannot repair it."""
 
 
+class TreeTooDeep(RteSyntaxError):
+    """A parsed tree deeper than MAX_TREE_DEPTH."""
+
+
 # ---------------------------------------------------------------------------
 # Regexes
 
@@ -193,6 +197,21 @@ def rev() -> Expr:
     return Expr(REV)
 
 
+def tree_depth(node) -> int:
+    """Nodes on the longest root-to-leaf path of an expression or regex
+    tree, the regexes inside an expression included.  Iterative, so that
+    any tree can be measured."""
+    best = 0
+    todo = [(node, 1)]
+    while todo:
+        n, d = todo.pop()
+        best = max(best, d)
+        for c in (getattr(n, "regex", None), n.left, n.right):
+            if c is not None:
+                todo.append((c, d + 1))
+    return best
+
+
 def children(h: Expr):
     if h.left is not None:
         yield h.left
@@ -255,16 +274,23 @@ def dom_nullable(h: Expr) -> bool:
     return dom_nullable(h.left) and dom_nullable(h.right)
 
 
+def _uses(h: Expr, kinds) -> bool:
+    """Whether h has a node of one of `kinds`, walked without recursion."""
+    todo = [h]
+    while todo:
+        n = todo.pop()
+        if n.kind in kinds:
+            return True
+        todo.extend(children(n))
+    return False
+
+
 def uses_hadamard_or_kstar(h: Expr) -> bool:
-    if h.kind in (HADAMARD, KSTAR, KSTAR_REV):
-        return True
-    return any(uses_hadamard_or_kstar(c) for c in children(h))
+    return _uses(h, (HADAMARD, KSTAR, KSTAR_REV))
 
 
 def uses_kstar(h: Expr) -> bool:
-    if h.kind in _KSTARS:
-        return True
-    return any(uses_kstar(c) for c in children(h))
+    return _uses(h, _KSTARS)
 
 
 def expr_letters(h: Expr) -> set:
@@ -372,6 +398,13 @@ class _Scanner:
 # frames per level and the Python stack gives out near 200 levels; at 150,
 # nested products and sums still build, evaluate and match the oracle.
 MAX_NESTING = 100
+
+# Deepest tree parse_rte and parse_regex accept, counted by tree_depth.
+# Postfix stars and chains of infix operators deepen a tree without
+# parentheses.  The builders, the oracle and the size formulas recurse with
+# one or two frames per level, so at this depth build_pipeline and the
+# oracle still run under Python's default recursion limit of 1000.
+MAX_TREE_DEPTH = 400
 
 
 class _Parser:
@@ -581,6 +614,12 @@ class _Parser:
         return v
 
 
+def _check_depth(tree):
+    if tree_depth(tree) > MAX_TREE_DEPTH:
+        raise TreeTooDeep("tree deeper than %d levels" % MAX_TREE_DEPTH, 0)
+    return tree
+
+
 def parse_rte(text: str, sigma: str, gamma: str) -> Expr:
     """Parse expression text over the declared alphabets."""
     p = _Parser(text, sigma, gamma)
@@ -588,7 +627,7 @@ def parse_rte(text: str, sigma: str, gamma: str) -> Expr:
     p.s.skip_ws()
     if p.s.pos != len(text):
         raise RteSyntaxError("trailing input", p.s.pos)
-    return e
+    return _check_depth(e)
 
 
 def parse_regex(text: str, sigma: str) -> Regex:
@@ -597,7 +636,7 @@ def parse_regex(text: str, sigma: str) -> Regex:
     p.s.skip_ws()
     if p.s.pos != len(text):
         raise RteSyntaxError("trailing input", p.s.pos)
-    return e
+    return _check_depth(e)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ the empty word) are cut off and flagged as truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, EMPTY, EPS, HADAMARD, KSTAR,
                    KSTAR_REV, LIT, RCAT, REV, RSTAR, RSUM, STAR, STAR_REV,
@@ -45,28 +44,41 @@ class BoundedSet:
 # Recursive regex matching (kept independent of the Glushkov construction)
 
 def re_match(e: Regex, w: str) -> bool:
-    return _re_match(e, w)
+    """Whether w is in L(e).  Memoized per call on (node, word); nodes are
+    keyed by identity, since hashing a frozen tree walks all of it, which
+    costs a frame per level on top of the match's own."""
+    memo = {}
 
+    def match(e: Regex, w: str) -> bool:
+        key = (id(e), w)
+        if key in memo:
+            return memo[key]
+        if e.kind == EMPTY:
+            r = False
+        elif e.kind == EPS:
+            r = w == ""
+        elif e.kind == LIT:
+            r = w == e.ch
+        elif e.kind == RSUM:
+            r = match(e.left, w) or match(e.right, w)
+        elif e.kind == RCAT:
+            r = False
+            for i in range(len(w) + 1):
+                if match(e.left, w[:i]) and match(e.right, w[i:]):
+                    r = True
+                    break
+        elif e.kind == RSTAR:
+            r = w == ""
+            for i in range(1, len(w) + 1):
+                if match(e.left, w[:i]) and match(e, w[i:]):
+                    r = True
+                    break
+        else:
+            raise ValueError(e.kind)
+        memo[key] = r
+        return r
 
-@lru_cache(maxsize=None)
-def _re_match(e: Regex, w: str) -> bool:
-    if e.kind == EMPTY:
-        return False
-    if e.kind == EPS:
-        return w == ""
-    if e.kind == LIT:
-        return w == e.ch
-    if e.kind == RSUM:
-        return _re_match(e.left, w) or _re_match(e.right, w)
-    if e.kind == RCAT:
-        return any(_re_match(e.left, w[:i]) and _re_match(e.right, w[i:])
-                   for i in range(len(w) + 1))
-    if e.kind == RSTAR:
-        if w == "":
-            return True
-        return any(_re_match(e.left, w[:i]) and _re_match(e, w[i:])
-                   for i in range(1, len(w) + 1))
-    raise ValueError(e.kind)
+    return match(e, w)
 
 
 def re_nullable(e: Regex) -> bool:
@@ -147,13 +159,17 @@ class Oracle:
         if h.kind == SUM:
             return self.dom(h.left, w) or self.dom(h.right, w)
         if h.kind in (CAUCHY, CAUCHY_REV):
-            return any(self.dom(h.left, u) and self.dom(h.right, v)
-                       for u, v in _splits(w))
+            # loops, not any() over a generator: a generator frame per level
+            # would cost a third of the depth a tree may have
+            for u, v in _splits(w):
+                if self.dom(h.left, u) and self.dom(h.right, v):
+                    return True
+            return False
         if h.kind in (STAR, STAR_REV):
-            if w == "":
-                return True
-            return any(self.dom(h.left, w[:i]) and self.dom(h, w[i:])
-                       for i in range(1, len(w) + 1))
+            for i in range(1, len(w) + 1):
+                if self.dom(h.left, w[:i]) and self.dom(h, w[i:]):
+                    return True
+            return w == ""
         if h.kind == HADAMARD:
             return self.dom(h.left, w) and self.dom(h.right, w)
         if h.kind in (DUP, REV):
@@ -264,7 +280,30 @@ class Oracle:
                         res.add(a + b if h.kind == CAUCHY else b + a)
             return res
         if h.kind in (STAR, STAR_REV):
-            return self._star_rsem(h, w)
+            f = h.left
+            eps_dom = self.dom(f, "")
+            if eps_dom and self.rsem(f, "").items != {""}:
+                # infinitely many outputs obtainable by pumping empty factors;
+                # only the empty-factor-free part is enumerated
+                res.truncated = True
+            for fact in _factorizations(w, lambda u: self.dom(f, u), False, 0):
+                pieces = []
+                bad = False
+                for u in (fact if h.kind == STAR else fact[::-1]):
+                    ru = self.rsem(f, u)
+                    res.truncated |= ru.truncated
+                    if not ru.items:
+                        bad = True
+                        break
+                    pieces.append(sorted(ru.items))
+                if bad:
+                    continue
+                acc = [""]
+                for p in pieces:
+                    acc = [a + b for a in acc for b in p]
+                for x in acc:
+                    res.add(x)
+            return res
         if h.kind == HADAMARD:
             rf = self.rsem(h.left, w)
             rg = self.rsem(h.right, w)
@@ -302,33 +341,6 @@ class Oracle:
                     res.add(x)
             return res
         raise ValueError(h.kind)
-
-    def _star_rsem(self, h, w):
-        res = BoundedSet()
-        f = h.left
-        eps_dom = self.dom(f, "")
-        if eps_dom and self.rsem(f, "").items != {""}:
-            # infinitely many outputs obtainable by pumping empty factors;
-            # only the empty-factor-free part is enumerated
-            res.truncated = True
-        for fact in _factorizations(w, lambda u: self.dom(f, u), False, 0):
-            pieces = []
-            bad = False
-            for u in (fact if h.kind == STAR else fact[::-1]):
-                ru = self.rsem(f, u)
-                res.truncated |= ru.truncated
-                if not ru.items:
-                    bad = True
-                    break
-                pieces.append(sorted(ru.items))
-            if bad:
-                continue
-            acc = [""]
-            for p in pieces:
-                acc = [a + b for a in acc for b in p]
-            for x in acc:
-                res.add(x)
-        return res
 
     # -- unambiguous semantics -------------------------------------------------
 

@@ -30,3 +30,14 @@ def nested_factors(k):
 @pytest.fixture(scope="session")
 def short_words():
     return words_upto(5)
+
+
+def deep_texts(depth):
+    """Expressions of tree depth `depth` that nest without parentheses:
+    postfix stars, a flat product, a starred regex and a letter product."""
+    return {
+        "stars": '(a -> "x")' + "*" * (depth - 2),
+        "product": " . ".join(['(a -> "x")'] + ['(@ -> "")'] * (depth - 2)),
+        "regex stars": "a" + "*" * (depth - 2) + ' -> "x"',
+        "regex letters": "a" * (depth - 1) + ' -> "x"',
+    }

@@ -1,9 +1,11 @@
 import json
 
 from rtec.cli import main
-from rtec.expr import MAX_NESTING
+import pytest
 
-from conftest import nested_factors
+from rtec.expr import MAX_NESTING, MAX_TREE_DEPTH
+
+from conftest import deep_texts, nested_factors
 
 
 def test_eval_unambiguous(capsys):
@@ -138,3 +140,43 @@ def test_oracle_limit_exit_code(capsys):
                "--gamma", "c", "a" * 65])
     assert rc == 2
     assert "MAX_OUTPUT_LEN" in capsys.readouterr().err
+
+
+def test_malformed_config_line_exit_code(tmp_path, capsys):
+    conf = tmp_path / "rtec.conf"
+    conf.write_text("sigma = ab\ngamma cd\n")
+    rc = main(["eval", "--expr", '(a -> "c")', "--config", str(conf), "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config line" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    rc = main(["eval", "--expr", '(a -> "c")', "--config",
+               str(tmp_path / "absent.conf"), "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_expr_file_exit_code(tmp_path, capsys):
+    rc = main(["eval", "--expr-file", str(tmp_path / "absent.rte"),
+               "--sigma", "ab", "--gamma", "c", "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read expression file" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("shape", sorted(deep_texts(3)))
+def test_tree_depth_limit_exit_code(shape, capsys):
+    args = ["--sigma", "ab", "--gamma", "x", "a"]
+    rc = main(["eval", "--expr", deep_texts(MAX_TREE_DEPTH)[shape]] + args)
+    out = capsys.readouterr().out.strip()
+    assert (rc, out) in ((0, '"x"'), (1, "undefined"))
+    rc = main(["eval", "--expr", deep_texts(MAX_TREE_DEPTH + 1)[shape]]
+              + args)
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "expression nested too deeply"

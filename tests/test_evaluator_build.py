@@ -3,14 +3,16 @@ import random
 import pytest
 
 from rtec.expr import label_occurrences
-from rtec.evaluator_build import (build_evaluator, evaluator_shape_ok,
-                                  evaluator_size_formula, ext_alphabet,
-                                  lift_ignoring, paren_alphabet)
-from rtec.machines import (MachineError, enumerate_outputs, is_reversible,
-                           run_two_way)
+from rtec import evaluator_build
+from rtec.evaluator_build import (_Builder, _emit, build_evaluator,
+                                  evaluator_shape_ok, evaluator_size_formula,
+                                  ext_alphabet)
+from rtec.machines import (MachineError, TwoWayTransducer, enumerate_outputs,
+                           is_reversible, run_two_way)
 from rtec.oracle import Oracle
 from rtec.parser_build import build_parser
-from rtec.symbols import lopen, lclose, parse_word
+from rtec.symbols import (LEFT_END, RIGHT_END, is_paren, lopen, lclose,
+                          parse_word)
 from rtec.corpus import generate
 
 from conftest import SIGMA, mk
@@ -155,31 +157,61 @@ def test_every_evaluator_reversible_and_shaped():
         assert t.n_states == evaluator_size_formula(h)
 
 
+def lifted(text, ignore):
+    """The evaluator of text with all its states lifted over `ignore` by
+    the builder's in-place lift step."""
+    h = mk(text)
+    b = _Builder()
+    q0, qf = b.state(+1), b.state(+1)
+    alpha = _emit(h, SIGMA, b, q0, qf, ())
+    b.lift(range(b.n), ignore)
+    b.add(q0, LEFT_END, q0)
+    b.add(qf, RIGHT_END, qf)
+    return TwoWayTransducer(b.n, b.signs, q0, frozenset({qf}), b.delta,
+                            frozenset(alpha) | {LEFT_END, RIGHT_END})
+
+
 def test_lift_ignoring():
-    h = mk('(a -> "c") . (b -> "d")')
-    t = build_evaluator(h, SIGMA)
-    extra = {lopen(99), lclose(99)}
-    lifted = lift_ignoring(t, extra)
-    assert lifted.n_states == t.n_states
+    text = '(a -> "c") . (b -> "d")'
+    t = build_evaluator(mk(text), SIGMA)
+    lifted_t = lifted(text, {lopen(99), lclose(99)})
+    assert lifted_t.n_states == t.n_states
+    assert is_reversible(lifted_t)
     # behavior on a decorated word equals the original on the plain word
     plain = parse_word("(1 (2 a )2 (3 b )3 )1")
     decorated = (plain[:1] + (lopen(99),) + plain[1:3]
                  + (lclose(99),) + plain[3:])
-    assert eval_on(lifted, decorated) == eval_on(t, plain) == "cd"
+    assert eval_on(lifted_t, decorated) == eval_on(t, plain) == "cd"
 
 
 def test_lift_ignoring_empty_is_identity():
-    h = mk("rev")
-    t = build_evaluator(h, SIGMA)
-    lifted = lift_ignoring(t, frozenset())
-    assert lifted.delta == t.delta
+    assert lifted("rev", frozenset()).delta == build_evaluator(mk("rev"),
+                                                               SIGMA).delta
 
 
 def test_lift_collision_error():
-    h = mk('(a -> "c") . (b -> "d")')
-    t = build_evaluator(h, SIGMA)
     with pytest.raises(MachineError):
-        lift_ignoring(t, {lopen(2)})
+        lifted('(a -> "c") . (b -> "d")', {lopen(2)})
+
+
+def test_every_move_written_once(monkeypatch):
+    # the in-place build writes each move of the machine exactly once; a
+    # build that copies sub-evaluators into their parents writes the moves
+    # of a depth-d node d times
+    text = " + ".join('(%s(a+b)* -> "%s")' % ("a" * i, "cd"[i % 2])
+                      for i in range(1, 300))
+    h = mk(text)
+    writes = [0]
+    add = _Builder.add
+
+    def counted(self, *args):
+        writes[0] += 1
+        add(self, *args)
+
+    monkeypatch.setattr(evaluator_build._Builder, "add", counted)
+    t = build_evaluator(h, SIGMA)
+    assert t.n_states == evaluator_size_formula(h) == 897
+    assert writes[0] == sum(len(m) for m in t.delta.values()) == 1794
 
 
 def test_ext_alphabet_indexing():
@@ -187,7 +219,8 @@ def test_ext_alphabet_indexing():
     alpha = ext_alphabet(h, SIGMA)
     assert lopen(2, (1,)) in alpha and lopen(2, (2,)) in alpha
     assert lopen(2) not in alpha
-    assert len(paren_alphabet(h, SIGMA)) == 2 + 4 + 1  # h parens, f^i, sep
+    # h parens, f^i, sep
+    assert len([s for s in alpha if is_paren(s)]) == 2 + 4 + 1
 
 
 def test_composed_semantics_random(short_words):

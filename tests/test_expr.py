@@ -1,10 +1,15 @@
+import sys
+
 import pytest
 
-from rtec.expr import (RteSyntaxError, base, dup, esum, labeled_nodes, nl,
-                       parse_regex, parse_rte, pretty, r_lit, size, unlabel,
-                       width)
+from rtec.expr import (MAX_TREE_DEPTH, RteSyntaxError, TreeTooDeep, base, dup,
+                       esum, label_occurrences, labeled_nodes, nl,
+                       parse_regex, parse_rte, pretty, r_lit, size,
+                       tree_depth, unlabel, width)
+from rtec.oracle import Oracle
+from rtec.pipeline import build_pipeline
 
-from conftest import GAMMA, SIGMA, mk
+from conftest import GAMMA, SIGMA, deep_texts, mk
 
 
 def test_nl_examples():
@@ -120,3 +125,25 @@ def test_nl_bounded_by_regex_size():
     for _ in range(80):
         e = _random_regex(rng, 4, allow_eps=True)
         assert nl(e) <= regex_size(e)
+
+
+@pytest.mark.parametrize("shape", sorted(deep_texts(3)))
+def test_tree_depth_limit(shape):
+    # at the limit the whole pipeline and the oracle run under the default
+    # recursion limit; one level more is refused before anything is built
+    assert sys.getrecursionlimit() == 1000
+    text = deep_texts(MAX_TREE_DEPTH)[shape]
+    e = parse_rte(text, SIGMA, "x")
+    assert tree_depth(e) == MAX_TREE_DEPTH
+    h = label_occurrences(e)
+    pl = build_pipeline(h, SIGMA)
+    assert pl.run_unambiguous("a") == Oracle(h).usem(h, "a")
+    with pytest.raises(TreeTooDeep):
+        parse_rte(deep_texts(MAX_TREE_DEPTH + 1)[shape], SIGMA, "x")
+
+
+def test_regex_depth_limit():
+    assert tree_depth(parse_regex("a" * MAX_TREE_DEPTH, SIGMA)) \
+        == MAX_TREE_DEPTH
+    with pytest.raises(TreeTooDeep):
+        parse_regex("a" * (MAX_TREE_DEPTH + 1), SIGMA)

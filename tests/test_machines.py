@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rtec import corpus
-from rtec.expr import label_occurrences, parse_regex, pretty
+from rtec.evaluator_build import build_evaluator
+from rtec.expr import (base, esum, label_occurrences, parse_regex, pretty,
+                       r_eps, star)
 from rtec.glushkov import glushkov
 from rtec.machines import (Dfa, MachineError, MoveIndex, Nfa,
                            OneWayTransducer, TwoWayTransducer, audit_trace,
@@ -146,21 +148,32 @@ def test_enumerate_outputs_without_duplicate_runs():
 @settings(deadline=timedelta(milliseconds=150), max_examples=200,
           database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       depth=st.integers(0, corpus.MAX_DEPTH - 1))
-def test_enumerate_outputs_matches_oracle(seed, depth):
+       depth=st.integers(0, corpus.MAX_DEPTH - 1), wrap=st.booleans())
+def test_enumerate_outputs_matches_oracle(seed, depth, wrap):
     # the deadline fails an example whose enumeration blows up: the run-by-
-    # run walk took ~250 ms on the expression above over these words
+    # run walk took ~250 ms on the expression above over these words.  The
+    # corpus keeps star bodies off the empty word, so a wrapped draw adds
+    # a star over an empty-word branch to reach the epsilon-run cut.
     e = corpus._random_expr(random.Random(seed), depth)
     assume(corpus.acceptable(e))
+    if wrap:
+        e = star(esum(e, base(r_eps(), "x")))
     h = label_occurrences(e)
     o = Oracle(h)
     parser = build_parser(h, corpus.SIGMA)
+    evaluator = build_evaluator(h, corpus.SIGMA) if wrap else None
     for w in words_upto(4, corpus.SIGMA):
         got = enumerate_outputs(parser, w)
         exp = o.parsings(h, w)
         if not exp.truncated:
             assert not got.truncated, (pretty(e), w)
             assert got.outputs == exp.items, (pretty(e), w)
+        if wrap:
+            # outputs under truncation depend on where each side cuts
+            assert got.truncated == exp.truncated, (pretty(e), w)
+            for al in got.outputs:
+                res = run_two_way(evaluator, al)
+                assert res.status == "accept", (pretty(e), w)
 
 
 def test_determinize_preserves_language():

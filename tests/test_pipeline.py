@@ -1,9 +1,13 @@
 import random
+from datetime import timedelta
 
-from rtec.expr import label_occurrences
+from hypothesis import assume, given, settings, strategies as st
+
+from rtec import corpus
+from rtec.expr import label_occurrences, pretty
 from rtec.machines import (enumerate_outputs, minimize_dfa, nfa_accepts,
                            run_two_way)
-from rtec.oracle import Oracle
+from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
 from rtec.pipeline import (MacroStepTable, build_pipeline,
                            check_size_bounds, dom_dfa, udom_dfa,
@@ -222,6 +226,35 @@ def test_relational_values_on_truncated_words():
                 assert res.status == "accept", (text, w)
                 got.add(res.output)
             assert got == o.rsem(h, w).items, (text, w)
+
+
+@settings(deadline=timedelta(milliseconds=500), max_examples=150,
+          database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       depth=st.integers(0, corpus.MAX_DEPTH - 1))
+def test_evaluator_and_unambiguous_match_oracle(seed, depth):
+    # the relational values through the evaluator, and the unambiguous
+    # value through gate, uniformizer and evaluator, against the oracle
+    e = corpus._random_expr(random.Random(seed), depth)
+    assume(corpus.acceptable(e))
+    h = label_occurrences(e)
+    o = Oracle(h)
+    pl = build_pipeline(h, corpus.SIGMA)
+    for w in words_upto(4, corpus.SIGMA):
+        parsed = enumerate_outputs(pl.parser, w)
+        exp = o.rsem(h, w)
+        if not (parsed.truncated or exp.truncated):
+            got = set()
+            for al in parsed.outputs:
+                res = run_two_way(pl.evaluator, al)
+                assert res.status == "accept", (pretty(e), w)
+                got.add(res.output)
+            assert got == exp.items, (pretty(e), w)
+        try:
+            want = o.usem(h, w)
+        except OracleLimitError:
+            continue
+        assert pl.run_unambiguous(w) == want, (pretty(e), w)
 
 
 def test_run_unambiguous_internal_error_on_corrupt_evaluator():
