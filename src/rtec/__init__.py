@@ -9,13 +9,12 @@ from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
                        is_codeterministic, is_deterministic, is_reversible,
                        minimize_dfa, nfa_accepts, run_two_way)
 from .oracle import (BoundedSet, Oracle, OracleLimitError,
-                     check_kstar_conditions, oracle_dom, oracle_parsings,
-                     oracle_rsem, oracle_udom, oracle_usem, re_match)
+                     check_kstar_conditions, re_match)
 from .parser_build import build_parser, parser_invariants_ok
 from .evaluator_build import build_evaluator, ext_alphabet
 from .pipeline import (MacroStepTable, Pipeline, UniformParser,
                        build_functionality_checker, build_pipeline,
                        build_unambiguity_acceptor, check_size_bounds,
-                       dom_dfa, run_unambiguous, udom_dfa, uniformize_parser)
+                       domain_dfas, uniformize_parser)
 
 __version__ = "0.1.0"

@@ -16,12 +16,12 @@ from pathlib import Path
 
 from .expr import (RteSyntaxError, TreeTooDeep, label_occurrences, parse_rte,
                    pretty)
-from .machines import (enumerate_outputs, is_reversible, minimize_dfa,
-                       nfa_accepts, run_two_way, to_dot, to_json_dict)
+from .machines import (enumerate_outputs, is_reversible, nfa_accepts,
+                       run_two_way, to_dot, to_json_dict)
 from .oracle import Oracle, OracleLimitError, check_kstar_conditions
 from .evaluator_build import build_evaluator, evaluator_shape_ok
 from .parser_build import build_parser, parser_invariants_ok
-from .pipeline import build_pipeline, check_size_bounds, dom_dfa, udom_dfa
+from .pipeline import build_pipeline, check_size_bounds, domain_dfas
 from .symbols import render_word
 
 
@@ -92,7 +92,7 @@ def cmd_compile(args) -> int:
     (out / "acceptor.json").write_text(
         json.dumps(to_json_dict(pl.acceptor), indent=1))
     rep = check_size_bounds(h, sigma, pl)
-    dom = minimize_dfa(dom_dfa(h, sigma))
+    dom = domain_dfas(h, sigma)[0]
     (out / "dom.json").write_text(json.dumps(to_json_dict(dom), indent=1))
     metrics = {
         "expression": pretty(expr),
@@ -175,8 +175,7 @@ def cmd_check(args) -> int:
         report("evaluator-shape", "", False, True)
     if not parser_invariants_ok(pl.parser):
         report("parser-invariants", "", False, True)
-    dd = dom_dfa(h, sigma)
-    ud = udom_dfa(h, sigma)
+    (dd, ud) = domain_dfas(h, sigma)
     for w in _words_upto(sigma, args.max_len):
         parsed = enumerate_outputs(pl.parser, w)
         exp = o.parsings(h, w)

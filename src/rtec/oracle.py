@@ -610,29 +610,6 @@ def _merge_factor(pieces, u: str, i: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# One-shot conveniences over a fresh Oracle
-
-def oracle_dom(h: LabeledExpr, w: str) -> bool:
-    return Oracle(h).dom(h, w)
-
-
-def oracle_udom(h: LabeledExpr, w: str) -> bool:
-    return Oracle(h).udom(h, w)
-
-
-def oracle_rsem(h: LabeledExpr, w: str) -> BoundedSet:
-    return Oracle(h).rsem(h, w)
-
-
-def oracle_usem(h: LabeledExpr, w: str):
-    return Oracle(h).usem(h, w)
-
-
-def oracle_parsings(h: LabeledExpr, w: str) -> BoundedSet:
-    return Oracle(h).parsings(h, w)
-
-
-# ---------------------------------------------------------------------------
 # Independent checker for the chained-star parsing conditions
 
 def check_kstar_conditions(parsed, h: LabeledExpr, oracle: "Oracle") -> bool:

@@ -25,7 +25,8 @@ from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, nl)
 from .glushkov import glushkov
 from .machines import MoveIndex, OneWayTransducer
-from .symbols import CLOSE, OPEN, SEP, lclose, letter, lopen, sep
+from .symbols import (CLOSE, OPEN, SEP, lclose, letter, lopen, sep,
+                      with_index)
 
 
 class _Builder:
@@ -185,10 +186,6 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
         # position of component l in the order <=_i (i+1 mod k least, i greatest)
         return (l - i - 1) % k
 
-    def tag(s, i):
-        # output symbol of component i: parenthesis indexed by i
-        return (s[0], s[1], s[2] + (i,))
-
     def moves(key):
         (i, q, comps, j) = key
         m = _mod(i + 1, k)
@@ -214,7 +211,7 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                 if q2 == qf_f:
                     continue
                 nc = comps[:l - 1] + (q2,) + comps[l:]
-                yield (None, tag(out[0], l), (i, q, nc, l))
+                yield (None, with_index(out[0], l), (i, q, nc, l))
         if q in ae.finals and comps[i - 1] != pf.initial:
             # case 3: close the block whose index is m
             qm = comps[m - 1]
@@ -223,7 +220,7 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                     if q2 != qf_f:
                         continue
                     nc = comps[:m - 1] + (qf_f,) + comps[m:]
-                    yield (None, tag(out[0], m), (i, q, nc, j))
+                    yield (None, with_index(out[0], m), (i, q, nc, j))
             # case 4: factor boundary.  The construction also states a
             # not-accepting guard here; it is vacuous for k >= 2 (the forced
             # idle guess kills such runs) and would wrongly cut the k = 1

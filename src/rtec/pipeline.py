@@ -288,78 +288,60 @@ def uniformize_parser(parser: OneWayTransducer) -> UniformParser:
 # ---------------------------------------------------------------------------
 # Domain and unambiguous-domain automata
 
-def dom_dfa(h: LabeledExpr, sigma: str) -> Dfa:
-    """Deterministic acceptor of dom(h), built compositionally."""
-    alpha = frozenset(letter(c) for c in sigma)
+def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
+    """Deterministic acceptors of dom(h) and udom(h), built bottom-up in one
+    pass: each node combines the (dom, udom) pairs of its children, so every
+    subexpression is compiled once.
 
-    def total() -> Dfa:
-        return Dfa(1, 0, frozenset({0}), {(0, a): 0 for a in alpha}, alpha)
-
-    def of_nfa(nfa: Nfa) -> Dfa:
-        return minimize_dfa(determinize(nfa, alpha))
-
-    if h.kind == BASE:
-        return of_nfa(glushkov(h.regex, sigma))
-    if h.kind in (DUP, REV):
-        return total()
-    if h.kind == SUM:
-        return minimize_dfa(dfa_union(dom_dfa(h.left, sigma),
-                                      dom_dfa(h.right, sigma)))
-    if h.kind in (CAUCHY, CAUCHY_REV):
-        return of_nfa(_cat_pair_nfa(dom_dfa(h.left, sigma),
-                                    dom_dfa(h.right, sigma), alpha))
-    if h.kind in (STAR, STAR_REV):
-        return of_nfa(_star_pos_nfa(dom_dfa(h.left, sigma), alpha))
-    if h.kind == HADAMARD:
-        return minimize_dfa(dfa_intersect(dom_dfa(h.left, sigma),
-                                          dom_dfa(h.right, sigma)))
-    if h.kind in (KSTAR, KSTAR_REV):
-        parser = build_parser(h, sigma)
-        return of_nfa(parser.underlying_nfa())
-    raise ValueError(h.kind)
-
-
-def udom_dfa(h: LabeledExpr, sigma: str) -> Dfa:
-    """Deterministic acceptor of udom(h), built compositionally.
-
-    Chained stars fall back to the checker route (dom minus L(B)), which
+    Chained stars take the checker route for udom (dom minus L(B)), which
     needs the materialized parser; all other combinators scale to expressions
     whose parsers would be far too large to build, such as wide Hadamard
     towers.
     """
     alpha = frozenset(letter(c) for c in sigma)
+    loop = {(0, a): 0 for a in alpha}
+    total = Dfa(1, 0, frozenset({0}), loop, alpha)
+    empty = Dfa(1, 0, frozenset(), loop, alpha)
 
-    if h.kind in (BASE, DUP, REV):
-        return dom_dfa(h, sigma)
-    if h.kind == SUM:
-        uf, ug = udom_dfa(h.left, sigma), udom_dfa(h.right, sigma)
-        df, dg = dom_dfa(h.left, sigma), dom_dfa(h.right, sigma)
-        return minimize_dfa(dfa_union(dfa_difference(uf, dg),
-                                      dfa_difference(ug, df)))
-    if h.kind == HADAMARD:
-        return minimize_dfa(dfa_intersect(udom_dfa(h.left, sigma),
-                                          udom_dfa(h.right, sigma)))
-    if h.kind in (CAUCHY, CAUCHY_REV):
-        uf, ug = udom_dfa(h.left, sigma), udom_dfa(h.right, sigma)
-        df, dg = dom_dfa(h.left, sigma), dom_dfa(h.right, sigma)
-        good = determinize(_cat_pair_nfa(uf, ug, alpha), alpha)
-        bad = determinize(_ambiguous_split_nfa(df, dg, alpha), alpha)
-        return minimize_dfa(dfa_difference(good, bad))
-    if h.kind in (STAR, STAR_REV):
-        df = dom_dfa(h.left, sigma)
-        if df.accepts(""):
-            return Dfa(1, 0, frozenset(), {(0, a): 0 for a in alpha}, alpha)
-        uf = udom_dfa(h.left, sigma)
-        good = determinize(_star_pos_nfa(uf, alpha), alpha)
-        bad = determinize(_ambiguous_star_nfa(df, alpha), alpha)
-        return minimize_dfa(dfa_difference(good, bad))
-    if h.kind in (KSTAR, KSTAR_REV):
-        parser = build_parser(h, sigma)
-        checker = build_functionality_checker(parser, sigma)
-        multi = determinize(checker, alpha)
-        dom = dom_dfa(h, sigma)
-        return minimize_dfa(dfa_difference(dom, multi))
-    raise ValueError(h.kind)
+    def of_nfa(nfa: Nfa) -> Dfa:
+        return minimize_dfa(determinize(nfa, alpha))
+
+    def pair(h: LabeledExpr) -> tuple[Dfa, Dfa]:
+        if h.kind == BASE:
+            d = of_nfa(glushkov(h.regex, sigma))
+            return d, d
+        if h.kind in (DUP, REV):
+            return total, total
+        if h.kind in (KSTAR, KSTAR_REV):
+            parser = build_parser(h, sigma)
+            dom = of_nfa(parser.underlying_nfa())
+            multi = determinize(build_functionality_checker(parser, sigma),
+                                alpha)
+            return dom, minimize_dfa(dfa_difference(dom, multi))
+        (df, uf) = pair(h.left)
+        if h.kind in (STAR, STAR_REV):
+            dom = of_nfa(_star_pos_nfa(df, alpha))
+            if df.accepts(""):
+                return dom, empty
+            good = determinize(_star_pos_nfa(uf, alpha), alpha)
+            bad = determinize(_ambiguous_star_nfa(df, alpha), alpha)
+            return dom, minimize_dfa(dfa_difference(good, bad))
+        (dg, ug) = pair(h.right)
+        if h.kind == SUM:
+            return (minimize_dfa(dfa_union(df, dg)),
+                    minimize_dfa(dfa_union(dfa_difference(uf, dg),
+                                           dfa_difference(ug, df))))
+        if h.kind == HADAMARD:
+            return (minimize_dfa(dfa_intersect(df, dg)),
+                    minimize_dfa(dfa_intersect(uf, ug)))
+        if h.kind in (CAUCHY, CAUCHY_REV):
+            good = determinize(_cat_pair_nfa(uf, ug, alpha), alpha)
+            bad = determinize(_ambiguous_split_nfa(df, dg, alpha), alpha)
+            return (of_nfa(_cat_pair_nfa(df, dg, alpha)),
+                    minimize_dfa(dfa_difference(good, bad)))
+        raise ValueError(h.kind)
+
+    return pair(h)
 
 
 def _cat_pair_nfa(d1: Dfa, d2: Dfa, alpha) -> Nfa:
@@ -496,10 +478,6 @@ def build_pipeline(h: LabeledExpr, sigma: str) -> Pipeline:
     acceptor = build_unambiguity_acceptor(checker)
     return Pipeline(h, sigma, parser, evaluator, checker, acceptor,
                     uniformize_parser(parser))
-
-
-def run_unambiguous(h: LabeledExpr, sigma: str, word: str):
-    return build_pipeline(h, sigma).run_unambiguous(word)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from rtec.oracle import Oracle, check_kstar_conditions
 from rtec.evaluator_build import build_evaluator, evaluator_size_formula
 from rtec.parser_build import (build_parser, parser_invariants_ok,
                                parser_size_formula)
-from rtec.pipeline import (build_pipeline, check_size_bounds, dom_dfa,
-                           udom_dfa)
+from rtec.pipeline import build_pipeline, check_size_bounds, domain_dfas
 from rtec.symbols import is_letter, render_word
 
 from conftest import SIGMA, mk, words_upto
@@ -220,8 +219,7 @@ def test_criterion_6_hadamard_scaling():
         h = label_occurrences(cn_expression(n))
         u = cn_word(n)
         ok &= len(u) == 2 ** n
-        dd = dom_dfa(h, sigma)
-        gate = udom_dfa(h, sigma)
+        (dd, gate) = domain_dfas(h, sigma)
         minimal = minimize_dfa(dd)
         ok &= minimal.n_states >= 2 ** n
         rng = random.Random(n)

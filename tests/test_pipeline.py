@@ -9,8 +9,9 @@ from rtec.machines import (enumerate_outputs, minimize_dfa, nfa_accepts,
                            run_two_way)
 from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
+from rtec import pipeline
 from rtec.pipeline import (MacroStepTable, build_pipeline,
-                           check_size_bounds, dom_dfa, udom_dfa,
+                           check_size_bounds, domain_dfas,
                            uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
 from rtec.symbols import render_word
@@ -128,11 +129,31 @@ def test_dom_udom_dfas():
     for e in corpus[:25]:
         h = label_occurrences(e)
         o = Oracle(h)
-        dd = dom_dfa(h, SIGMA)
-        ud = udom_dfa(h, SIGMA)
+        (dd, ud) = domain_dfas(h, SIGMA)
         for w in words_upto(4):
             assert dd.accepts(w) == o.dom(h, w), (e, w)
             assert ud.accepts(w) == o.udom(h, w), (e, w)
+
+
+def test_domain_dfas_one_pass(monkeypatch):
+    # each base leaf is compiled once, for dom and udom together
+    terms = 60
+    h = mk(" + ".join('(%s(a+b)* -> "%s")' % ("a" * i, "cd"[i % 2])
+                      for i in range(1, terms + 1)))
+    calls = []
+    real = pipeline.glushkov
+
+    def counting(regex, sigma):
+        calls.append(regex)
+        return real(regex, sigma)
+
+    monkeypatch.setattr(pipeline, "glushkov", counting)
+    (dd, ud) = domain_dfas(h, SIGMA)
+    assert len(calls) == terms
+    assert dd.accepts("ab") and not dd.accepts("b")
+    # a^i (a+b)* is nested in a^j (a+b)* for j < i: only "a" followed by b
+    # has one parsing
+    assert ud.accepts("ab") and not ud.accepts("aab")
 
 
 def test_bound_report():
@@ -184,8 +205,7 @@ def test_cn_family_small():
         sigma = cn_alphabet(n)
         h = label_occurrences(cn_expression(n))
         u = cn_word(n)
-        dd = dom_dfa(h, sigma)
-        ud = udom_dfa(h, sigma)
+        (dd, ud) = domain_dfas(h, sigma)
         assert dd.accepts(u) and ud.accepts(u)
         assert minimize_dfa(dd).n_states >= 2 ** n
         rng = random.Random(3)
@@ -202,7 +222,7 @@ def test_cn_materialized_pipeline_matches_gate():
         sigma = cn_alphabet(n)
         h = label_occurrences(cn_expression(n))
         pl = build_pipeline(h, sigma)
-        ud = udom_dfa(h, sigma)
+        ud = domain_dfas(h, sigma)[1]
         rng = random.Random(4)
         words = {cn_word(n)} | {"".join(rng.choice(sigma) for _ in range(m))
                                 for m in range(7) for _ in range(12)}
