@@ -140,8 +140,8 @@ def cmd_eval(args) -> int:
         return 0
     pl = build_pipeline(h, sigma)
     if args.show_parsing:
-        al = pl.uniformizer.parse(word)
-        if al is not None and pl.acceptor.accepts(word):
+        al = pl.uniformizer.unique(word)
+        if al is not None:
             print("parsing:", render_word(al))
     value = pl.run_unambiguous(word)
     if value is None:

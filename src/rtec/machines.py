@@ -141,11 +141,17 @@ class Nfa:
     transitions: list  # (src, sym | None, dst)
     alphabet: frozenset
 
+    @cached_property
+    def index(self) -> MoveIndex:
+        """The transitions by state, built on first use and kept; the
+        transition list must not change after that."""
+        return MoveIndex(self.transitions)
+
 
 def nfa_accepts(nfa: Nfa, word) -> bool:
     """Subset simulation; `word` is a str or a tuple of symbols."""
     syms = letters(word) if isinstance(word, str) else tuple(word)
-    index = MoveIndex(nfa.transitions)
+    index = nfa.index
     cur = index.closure({nfa.initial})
     for a in syms:
         nxt = index.step(cur, a)
@@ -181,8 +187,11 @@ class Dfa:
 
 
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
-    """Powerset construction with epsilon closure; result is complete."""
+    """Powerset construction with epsilon closure; result is complete.
+    States are numbered in discovery order over the sorted alphabet, so the
+    numbering does not depend on the hash seed."""
     alpha = frozenset(alphabet if alphabet is not None else nfa.alphabet)
+    ordered = sorted(alpha)
     moves = MoveIndex(nfa.transitions)
     start = frozenset(moves.closure({nfa.initial}))
     index = {start: 0}
@@ -192,7 +201,7 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     while todo:
         cur = todo.pop()
         ci = index[cur]
-        for a in alpha:
+        for a in ordered:
             nxt = frozenset(moves.closure(moves.step(cur, a)))
             if nxt not in index:
                 index[nxt] = len(order)
@@ -215,6 +224,7 @@ def dfa_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
     """Product automaton; `accept(f1, f2)` decides finality per pair."""
     if d1.alphabet != d2.alphabet:
         raise MachineError("product over mismatched alphabets")
+    alpha = sorted(d1.alphabet)
     index = {(d1.initial, d2.initial): 0}
     order = [(d1.initial, d2.initial)]
     delta = {}
@@ -222,7 +232,7 @@ def dfa_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
     while todo:
         (s1, s2) = todo.pop()
         ci = index[(s1, s2)]
-        for a in d1.alphabet:
+        for a in alpha:
             nxt = (d1.delta[(s1, a)], d2.delta[(s2, a)])
             if nxt not in index:
                 index[nxt] = len(order)

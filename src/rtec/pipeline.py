@@ -7,17 +7,24 @@ Its premises quantify over runs that read one letter after spontaneous
 parenthesis moves, decided here by a finite saturation over state pairs
 (synchronized while the outputs agree, independent after the first
 difference), which terminates even when the parser has epsilon cycles.
+`Pipeline` builds B and its complement acceptor on first use only, for
+exports, size reports and checks: the runtime needs neither.
 
 The uniformizer realizes the two-pass decomposition: a backward pass
-annotates positions with co-reachable parser states, a forward pass picks,
-at each step, the first co-reachable transition in construction order
-(falling back to the next one only if the greedy choice closes a cycle), so
-it is deterministic and returns exactly one parsing on the parser's domain.
+annotates positions with co-reachable parser states, memoized across words.
+The per-word gate of `run_unambiguous` is a forward walk over sets of
+co-reachable configurations sharing one output prefix, which yields the
+word's parsing exactly when it has no other.  The paper's selection, kept
+as `UniformParser.parse`, picks at each step the first co-reachable
+transition in construction order (falling back to the next one only if the
+greedy choice closes a cycle), so it is deterministic and returns exactly
+one parsing on the parser's domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, size, unlabel,
@@ -29,6 +36,12 @@ from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
 from .symbols import letter, letters
+
+# The most co-reachable states a UniformParser keeps in its memo of
+# backward steps; past it the memo starts over.  At 33 to 73 bytes a state
+# in a frozenset that is 4 to 10 MB per parser, far above what the
+# benchmark's parsers need (at most 3,640 states after a pass).
+COREACH_MEMO_STATES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +215,22 @@ def build_unambiguity_acceptor(checker: Nfa) -> Dfa:
 class UniformParser:
     """Deterministic selection of one parsing per domain word.
 
-    Backward pass: co-reachable parser states per input position.  Forward
-    pass: depth-first walk trying, at each step, the co-reachable successors
-    in a fixed global order (spontaneous moves before the letter move, each
-    in construction order), visiting each (state, position) at most once; on
+    Backward pass: co-reachable parser states per input position.  Each set
+    depends only on the next one and the letter between, so the sets are
+    the states of a subset automaton over the reversed word; they are built
+    on first use and kept across words in a memo that is emptied once it
+    holds more than COREACH_MEMO_STATES states.
+
+    `unique` decides the unambiguous semantics by itself, in one forward
+    walk over sets of co-reachable configurations that share one output
+    prefix: the word has exactly one parsing when no set on the way offers
+    two output symbols, can both stop and go on, or holds a state on a
+    cycle of epsilon moves, which could be pumped.
+
+    `parse` is the paper's uniformizer, defined on the whole domain: a
+    depth-first walk trying, at each step, the co-reachable successors in a
+    fixed global order (spontaneous moves before the letter move, each in
+    construction order), visiting each (state, position) at most once; on
     cycle-free parsers this is the plain greedy least-successor walk.
     """
 
@@ -213,29 +238,74 @@ class UniformParser:
         self.parser = parser
         self.final = next(iter(parser.finals))
         self.index = parser.index
+        self._end = frozenset(self.index.coclosure({self.final}))
+        self._memo = {}
+        self._memo_states = 0
 
     def _coreach(self, syms):
-        """Co-reachable states per position.  A set depends only on the
-        next one and the letter between, so each (set, letter) pair is
-        computed once per call."""
-        index = self.index
-        memo = {}
+        """Co-reachable states per position, through the kept memo."""
+        index, memo = self.index, self._memo
         co = [None] * (len(syms) + 1)
-        cur = co[-1] = frozenset(index.coclosure({self.final}))
+        cur = co[-1] = self._end
         for t in range(len(syms) - 1, -1, -1):
             key = (cur, syms[t])
             prev = memo.get(key)
             if prev is None:
                 prev = memo[key] = frozenset(
                     index.coclosure(index.back_step(cur, syms[t])))
+                self._memo_states += len(prev)
+                if self._memo_states > COREACH_MEMO_STATES:
+                    memo.clear()
+                    self._memo_states = 0
             co[t] = cur = prev
         return co
 
-    def accepts(self, word) -> bool:
-        """True when `word` lies in the parser's domain; the backward pass
-        alone decides it."""
+    def unique(self, word):
+        """The only parsing of `word`, or None when it has none or more
+        than one."""
         syms = letters(word) if isinstance(word, str) else tuple(word)
-        return self.parser.initial in self._coreach(syms)[0]
+        n = len(syms)
+        co = self._coreach(syms)
+        if self.parser.initial not in co[0]:
+            return None
+        eps, letter = self.index.eps, self.index.letter
+        cyclic, final = self.index.eps_cyclic, self.final
+        # every configuration of a node sits at position t: a parser's
+        # letter moves copy the letter, so the prefix fixes the position
+        node = (self.parser.initial,)
+        t = 0
+        out = []
+        while True:
+            if cyclic and not cyclic.isdisjoint(node):
+                return None
+            here = co[t]
+            sym = nxt = None
+            for s in node:
+                for (_s, _a, o, d) in eps.get(s, ()):
+                    if d in here:
+                        if sym is None:
+                            sym, nxt = o, {d}
+                        elif o == sym:
+                            nxt.add(d)
+                        else:
+                            return None
+            if t == n:
+                if final in node:
+                    return tuple(out) if sym is None else None
+            else:
+                a, there = syms[t], co[t + 1]
+                moved = {d for s in node for (_s, _a, _o, d)
+                         in letter.get((s, a), ()) if d in there}
+                if moved:
+                    if sym is not None:
+                        return None
+                    out.append(a)
+                    node = moved
+                    t += 1
+                    continue
+            # live configurations always move on, so sym is set here
+            out.append(sym[0])
+            node = nxt
 
     def parse(self, word):
         """The selected parsing of `word`, or None outside the domain."""
@@ -442,26 +512,27 @@ def _ambiguous_star_nfa(d: Dfa, alpha) -> Nfa:
 
 @dataclass
 class Pipeline:
-    """Built machines for one expression, with staged unambiguous runs."""
+    """Built machines for one expression, with staged unambiguous runs.
+
+    The functionality checker and its complement acceptor are built on
+    first use and kept; `run_unambiguous` needs neither."""
 
     expr: LabeledExpr
     sigma: str
     parser: OneWayTransducer
     evaluator: TwoWayTransducer
-    checker: Nfa
-    acceptor: Dfa
     uniformizer: UniformParser
 
-    def gate(self, word: str) -> bool:
-        """True when the word has exactly one parsing: the complement
-        acceptor lets it through and it lies in the parser's domain."""
-        return self.acceptor.accepts(word) and \
-            self.uniformizer.accepts(word)
+    @cached_property
+    def checker(self) -> Nfa:
+        return build_functionality_checker(self.parser, self.sigma)
+
+    @cached_property
+    def acceptor(self) -> Dfa:
+        return build_unambiguity_acceptor(self.checker)
 
     def run_unambiguous(self, word: str):
-        if not self.acceptor.accepts(word):
-            return None
-        parsed = self.uniformizer.parse(word)
+        parsed = self.uniformizer.unique(word)
         if parsed is None:
             return None
         res = run_two_way(self.evaluator, parsed)
@@ -473,10 +544,7 @@ class Pipeline:
 
 def build_pipeline(h: LabeledExpr, sigma: str) -> Pipeline:
     parser = build_parser(h, sigma)
-    evaluator = build_evaluator(h, sigma)
-    checker = build_functionality_checker(parser, sigma)
-    acceptor = build_unambiguity_acceptor(checker)
-    return Pipeline(h, sigma, parser, evaluator, checker, acceptor,
+    return Pipeline(h, sigma, parser, build_evaluator(h, sigma),
                     uniformize_parser(parser))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from rtec.cli import main
 import pytest
@@ -74,6 +78,27 @@ def test_compile_writes_dumps(tmp_path, capsys):
     assert (tmp_path / "out" / "evaluator.json").exists()
     assert (tmp_path / "out" / "checker.json").exists()
     assert (tmp_path / "out" / "acceptor.json").exists()
+
+
+def test_compile_files_do_not_depend_on_the_hash_seed(tmp_path):
+    import rtec
+    src = str(Path(rtec.__file__).resolve().parents[1])
+    exprs = ['(a -> "")* . (b -> "") + (a -> "") . (b -> "")*',
+             '(a -> "c")* . (b -> "d")',
+             '(a*b -> "c") odot (ab* -> "d")']
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for i, text in enumerate(exprs):
+            out = tmp_path / seed / str(i)
+            subprocess.run([sys.executable, "-m", "rtec.cli", "compile",
+                            "--expr", text, "--sigma", "ab", "--gamma", "cd",
+                            "--out-dir", str(out)],
+                           env=env, check=True, capture_output=True)
+        outs.append({p.relative_to(tmp_path / seed): p.read_bytes()
+                     for p in sorted((tmp_path / seed).rglob("*.json"))})
+    assert len(outs[0]) == 6 * len(exprs)
+    assert outs[0] == outs[1]
 
 
 def test_check_passes(capsys):

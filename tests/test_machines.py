@@ -191,6 +191,23 @@ def test_determinize_preserves_language():
             assert d.accepts(w) == nfa_accepts(n, w), (e, w)
 
 
+def test_nfa_accepts_indexes_each_nfa_once(monkeypatch):
+    from rtec import machines
+    from rtec.pipeline import build_pipeline
+    checker = build_pipeline(mk('(a -> "c") + (a -> "d")'), SIGMA).checker
+    built = []
+
+    class Counting(MoveIndex):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(machines, "MoveIndex", Counting)
+    for w in words_upto(4):
+        assert nfa_accepts(checker, w) == (w == "a"), w
+    assert len(built) == 1
+
+
 def test_determinize_on_deterministic_input():
     n = glushkov(parse_regex("ab", SIGMA), SIGMA)
     d = determinize(n)

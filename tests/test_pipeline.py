@@ -103,6 +103,79 @@ def test_uniformizer_with_epsilon_cycles():
     u = uniformize_parser(build_parser(h, SIGMA))
     assert u.parse("") is not None
     assert u.parse("a") is None
+    # a pumpable epsilon cycle gives infinitely many parsings, so the walk
+    # finds no unique one where the acceptor rejects
+    assert u.unique("") is None
+    for text in ('(@ -> "x")*', '(@ -> "" + (a -> "c"))*'):
+        h = mk(text)
+        o = Oracle(h)
+        pl = build_pipeline(h, SIGMA)
+        u = pl.uniformizer
+        for w in words_upto(4):
+            if pl.acceptor.accepts(w):
+                assert u.unique(w) == u.parse(w), (text, w)
+            else:
+                assert u.unique(w) is None, (text, w)
+            assert pl.run_unambiguous(w) == o.usem(h, w), (text, w)
+
+
+def test_unique_refuses_a_set_that_can_stop_and_go_on():
+    # built parsers enter the final state only on the root's closing
+    # parenthesis, so this case needs a hand-made transducer: on the empty
+    # word, "(" stops in state 1 and "( )" goes on through state 2
+    from rtec.machines import OneWayTransducer
+    op, cl = (1, 1, ()), (2, 1, ())
+    t = OneWayTransducer(3, 0, frozenset({1}),
+                         [(0, None, (op,), 1), (0, None, (op,), 2),
+                          (2, None, (cl,), 1)], frozenset())
+    u = uniformize_parser(t)
+    assert u.parse("") in {(op,), (op, cl)}
+    assert u.unique("") is None
+    assert enumerate_outputs(t, "").outputs == {(op,), (op, cl)}
+
+
+def test_build_pipeline_leaves_checker_and_acceptor_for_first_use(
+        monkeypatch):
+    calls = []
+    real_checker = pipeline.build_functionality_checker
+    real_determinize = pipeline.determinize
+
+    def checker(*args):
+        calls.append("checker")
+        return real_checker(*args)
+
+    def determinize(*args):
+        calls.append("determinize")
+        return real_determinize(*args)
+
+    monkeypatch.setattr(pipeline, "build_functionality_checker", checker)
+    monkeypatch.setattr(pipeline, "determinize", determinize)
+    h = mk('(a -> "c") + (a -> "d") + (b -> "c")')
+    pl = build_pipeline(h, SIGMA)
+    assert pl.run_unambiguous("a") is None
+    assert pl.run_unambiguous("b") == "c"
+    assert calls == []
+    assert not pl.acceptor.accepts("a") and pl.acceptor.accepts("b")
+    assert pl.checker is pl.checker
+    assert calls == ["checker", "determinize"]
+
+
+def test_coreach_memo_stays_under_its_cap(monkeypatch):
+    cap = 12
+    monkeypatch.setattr(pipeline, "COREACH_MEMO_STATES", cap)
+    cleared = 0
+    for e in generate(40, seed=44)[:20]:
+        h = label_occurrences(e)
+        o = Oracle(h)
+        pl = build_pipeline(h, SIGMA)
+        u = pl.uniformizer
+        for w in words_upto(5):
+            before = len(u._memo)
+            assert pl.run_unambiguous(w) == o.usem(h, w), (pretty(e), w)
+            held = sum(len(v) for v in u._memo.values())
+            assert held == u._memo_states <= cap, (pretty(e), w)
+            cleared += len(u._memo) < before
+    assert cleared
 
 
 def test_run_unambiguous_examples():
@@ -217,17 +290,22 @@ def test_cn_family_small():
 
 
 def test_cn_materialized_pipeline_matches_gate():
-    # the checker route builds at these n; cross-check the gates
+    # the checker route builds at these n; the per-word walk, the udom DFA
+    # and the acceptor with the uniformizer agree on the gate
     for n in (2, 4, 6):
         sigma = cn_alphabet(n)
         h = label_occurrences(cn_expression(n))
         pl = build_pipeline(h, sigma)
+        u = pl.uniformizer
         ud = domain_dfas(h, sigma)[1]
         rng = random.Random(4)
         words = {cn_word(n)} | {"".join(rng.choice(sigma) for _ in range(m))
                                 for m in range(7) for _ in range(12)}
         for w in words:
-            assert pl.gate(w) == ud.accepts(w), (n, w)
+            gate = u.unique(w) is not None
+            assert gate == ud.accepts(w), (n, w)
+            assert gate == (pl.acceptor.accepts(w)
+                            and u.parse(w) is not None), (n, w)
             assert pl.run_unambiguous(w) == ("" if w == cn_word(n)
                                              else None), (n, w)
 
@@ -254,7 +332,7 @@ def test_relational_values_on_truncated_words():
        depth=st.integers(0, corpus.MAX_DEPTH - 1))
 def test_evaluator_and_unambiguous_match_oracle(seed, depth):
     # the relational values through the evaluator, and the unambiguous
-    # value through gate, uniformizer and evaluator, against the oracle
+    # value through the per-word walk and the evaluator, against the oracle
     e = corpus._random_expr(random.Random(seed), depth)
     assume(corpus.acceptable(e))
     h = label_occurrences(e)
