@@ -109,7 +109,7 @@ def cmd_compile(args) -> int:
                    for (n, a, b, g) in rep.entries],
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1))
-    print("wrote parser/evaluator/checker/acceptor/metrics to %s" % out)
+    print("wrote parser/evaluator/checker/acceptor/dom/metrics to %s" % out)
     if not rep.ok:
         print("warning: size bounds violated", file=sys.stderr)
         return 1
@@ -218,17 +218,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    sigma, gamma = _alphabets(args)
-    expr, _text = _expression(args, sigma, gamma)
-    h = label_occurrences(expr)
-    pl = build_pipeline(h, sigma)
-    machines = {"parser": pl.parser, "evaluator": pl.evaluator,
-                "checker": pl.checker, "acceptor": pl.acceptor}
-    if args.machine not in machines:
+    if args.machine not in ("parser", "evaluator", "checker", "acceptor"):
         print("unknown machine %r (expected parser|evaluator|checker|acceptor)"
               % args.machine, file=sys.stderr)
         return 2
-    m = machines[args.machine]
+    sigma, gamma = _alphabets(args)
+    expr, _text = _expression(args, sigma, gamma)
+    h = label_occurrences(expr)
+    # the checker and the acceptor are built on first use only
+    m = getattr(build_pipeline(h, sigma), args.machine)
     text = to_dot(m, args.machine) if args.format == "dot" \
         else json.dumps(to_json_dict(m), indent=1)
     if args.out:

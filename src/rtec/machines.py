@@ -76,14 +76,14 @@ class MoveIndex:
                     stack.append(s)
         return seen
 
-    @cached_property
-    def eps_cyclic(self) -> frozenset:
-        """States on a cycle of epsilon moves, from one pass of Tarjan's
-        strongly connected components algorithm, without recursion."""
+    def eps_components(self):
+        """The strongly connected components of the epsilon moves, each
+        after every component it reaches, from one pass of Tarjan's
+        algorithm without recursion; states with no epsilon move in or out
+        are left out."""
         eps, k = self.eps, self.dst_pos
         order, low = {}, {}
         open_, on_open = [], set()
-        cyclic = set()
         for root in eps:
             if root in order:
                 continue
@@ -112,10 +112,38 @@ class MoveIndex:
                         while comp[-1] != v:
                             comp.append(open_.pop())
                         on_open.difference_update(comp)
-                        if len(comp) > 1 or any(t[k] == v
-                                                for t in eps.get(v, ())):
-                            cyclic.update(comp)
+                        yield comp
+
+    @cached_property
+    def eps_cyclic(self) -> frozenset:
+        """States on a cycle of epsilon moves."""
+        eps, k = self.eps, self.dst_pos
+        cyclic = set()
+        for comp in self.eps_components():
+            v = comp[0]
+            if len(comp) > 1 or any(t[k] == v for t in eps.get(v, ())):
+                cyclic.update(comp)
         return frozenset(cyclic)
+
+    def eps_joins(self, base) -> dict:
+        """For every state p with an epsilon move in or out, the union of
+        `base(q)` over the states q of `closure((p,))`, in one pass over the
+        components: each joins its own states' sets and the joins of the
+        components it moves to, which come before it."""
+        eps, k = self.eps, self.dst_pos
+        out = {}
+        for comp in self.eps_components():
+            members = set(comp)
+            j = set()
+            for v in comp:
+                j.update(base(v))
+                for t in eps.get(v, ()):
+                    if t[k] not in members:
+                        j.update(out[t[k]])
+            j = frozenset(j)
+            for v in comp:
+                out[v] = j
+        return out
 
     def step(self, states, sym) -> set:
         """Targets of sym-moves out of `states`."""

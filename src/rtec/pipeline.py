@@ -14,11 +14,14 @@ The uniformizer realizes the two-pass decomposition: a backward pass
 annotates positions with co-reachable parser states, memoized across words.
 The per-word gate of `run_unambiguous` is a forward walk over sets of
 co-reachable configurations sharing one output prefix, which yields the
-word's parsing exactly when it has no other.  The paper's selection, kept
-as `UniformParser.parse`, picks at each step the first co-reachable
-transition in construction order (falling back to the next one only if the
-greedy choice closes a cycle), so it is deterministic and returns exactly
-one parsing on the parser's domain.
+word's parsing exactly when it has no other.  Its step over one position
+is memoized too, so a word costs two dictionary lookups per letter once
+its steps are known; both memos start over past COREACH_MEMO_STATES
+entries.  The paper's selection, kept as `UniformParser.parse`, picks at
+each step the first co-reachable transition in construction order
+(falling back to the next one only if the greedy choice closes a cycle),
+so it is deterministic and returns exactly one parsing on the parser's
+domain.
 """
 
 from __future__ import annotations
@@ -38,9 +41,12 @@ from .evaluator_build import build_evaluator, evaluator_size_formula
 from .symbols import letter, letters
 
 # The most co-reachable states a UniformParser keeps in its memo of
-# backward steps; past it the memo starts over.  At 33 to 73 bytes a state
-# in a frozenset that is 4 to 10 MB per parser, far above what the
-# benchmark's parsers need (at most 3,640 states after a pass).
+# backward steps, and the most segments of the forward walk it keeps; past
+# either, that memo starts over.  At 33 to 73 bytes a state in a frozenset
+# the first is 4 to 10 MB per parser; a segment took about 700 bytes on the
+# acceptance corpus, so a full segment memo would hold about 90 MB.  Both
+# are far above what the benchmark's parsers need: at most 3,640 states
+# after a pass, and 1,647 segments over all 200 corpus parsers.
 COREACH_MEMO_STATES = 1 << 17
 
 
@@ -57,22 +63,22 @@ class MacroStepTable:
         self.final = next(iter(parser.finals))
         self.index = parser.index
         self.eps, self.letter = self.index.eps, self.index.letter
-        self._eclo = {}
+        # states that finish by parenthesis moves alone
+        self._ends = frozenset(self.index.coclosure((self.final,)))
         self._sync = {}
         self._reach = {}
 
-    def _eps_closure(self, p):
-        if p not in self._eclo:
-            self._eclo[p] = frozenset(self.index.closure((p,)))
-        return self._eclo[p]
-
     def reach_letter(self, p, a):
         """States reachable from p by parenthesis moves followed by `a`."""
-        key = (p, a)
-        if key not in self._reach:
-            self._reach[key] = frozenset(
-                self.index.step(self._eps_closure(p), a))
-        return self._reach[key]
+        by_state = self._reach.get(a)
+        if by_state is None:
+            step = self.index.step
+            by_state = self._reach[a] = self.index.eps_joins(
+                lambda q: step((q,), a))
+        r = by_state.get(p)
+        if r is None:
+            r = by_state[p] = frozenset(self.index.step((p,), a))
+        return r
 
     def sync_closure(self, p, q):
         """Pairs reachable while both sides emit the same parentheses."""
@@ -134,24 +140,22 @@ class MacroStepTable:
 
     def end_same(self, p, q) -> bool:
         """Both states finish with the same parenthesis suffix."""
-        return (self.final in self._eps_closure(p)
-                and self.final in self._eps_closure(q))
+        return p in self._ends and q in self._ends
 
     def end_diff(self, p, q) -> bool:
         """Both states finish, producing different parenthesis suffixes."""
         for (s, t) in self.sync_closure(p, q):
             for (_s, _a, o1, d1) in self.eps.get(s, ()):
                 for (_t, _a, o2, d2) in self.eps.get(t, ()):
-                    if o1 != o2 and self.final in self._eps_closure(d1) \
-                            and self.final in self._eps_closure(d2):
+                    if o1 != o2 and d1 in self._ends and d2 in self._ends:
                         return True
             if t == self.final:
                 for (_s, _a, _o, d1) in self.eps.get(s, ()):
-                    if self.final in self._eps_closure(d1):
+                    if d1 in self._ends:
                         return True
             if s == self.final:
                 for (_t, _a, _o, d2) in self.eps.get(t, ()):
-                    if self.final in self._eps_closure(d2):
+                    if d2 in self._ends:
                         return True
         return False
 
@@ -225,7 +229,15 @@ class UniformParser:
     walk over sets of co-reachable configurations that share one output
     prefix: the word has exactly one parsing when no set on the way offers
     two output symbols, can both stop and go on, or holds a state on a
-    cycle of epsilon moves, which could be pumped.
+    cycle of epsilon moves, which could be pumped.  The walk is cut into
+    segments, one per position: from the set entering position t, the
+    spontaneous moves inside t, then the letter move, or the stop after the
+    last letter.  A segment depends only on its entry set, the co-reach set
+    after it and the letter, so it is memoized under those, with its output
+    symbols and the set it enters (or its refusal); `unique` then takes one
+    lookup per letter.  The segment memo is emptied with the co-reach memo,
+    whose sets its keys hold, and once it holds more than
+    COREACH_MEMO_STATES segments.
 
     `parse` is the paper's uniformizer, defined on the whole domain: a
     depth-first walk trying, at each step, the co-reachable successors in a
@@ -241,6 +253,9 @@ class UniformParser:
         self._end = frozenset(self.index.coclosure({self.final}))
         self._memo = {}
         self._memo_states = 0
+        self._start = frozenset((parser.initial,))
+        self._segments = {}
+        self._letters = {a[1]: a for a in parser.input_alphabet}
 
     def _coreach(self, syms):
         """Co-reachable states per position, through the kept memo."""
@@ -257,28 +272,63 @@ class UniformParser:
                 if self._memo_states > COREACH_MEMO_STATES:
                     memo.clear()
                     self._memo_states = 0
+                    # segment keys hold co-reach sets: let them go too
+                    self._segments.clear()
             co[t] = cur = prev
         return co
 
     def unique(self, word):
         """The only parsing of `word`, or None when it has none or more
         than one."""
-        syms = letters(word) if isinstance(word, str) else tuple(word)
+        if isinstance(word, str):
+            # the parser's own letter symbols: none is built per letter,
+            # and memo keys meet them again by identity
+            syms = tuple(map(self._letters.get, word))
+            if None in syms:
+                syms = letters(word)
+        else:
+            syms = tuple(word)
         n = len(syms)
         co = self._coreach(syms)
         if self.parser.initial not in co[0]:
             return None
-        eps, letter = self.index.eps, self.index.letter
-        cyclic, final = self.index.eps_cyclic, self.final
         # every configuration of a node sits at position t: a parser's
-        # letter moves copy the letter, so the prefix fixes the position
-        node = (self.parser.initial,)
-        t = 0
-        out = []
-        while True:
-            if cyclic and not cyclic.isdisjoint(node):
+        # letter moves copy the letter, so the prefix fixes the position.
+        # Past the last letter the walk can only stop.
+        co.append(None)
+        syms += (None,)
+        seg, node, out = self._segments, self._start, []
+        for t in range(n + 1):
+            key = (node, co[t + 1], syms[t])
+            step = seg.get(key)
+            if step is None:
+                step = seg[key] = self._segment(node, co[t], co[t + 1],
+                                                syms[t])
+                if len(seg) > COREACH_MEMO_STATES:
+                    seg.clear()
+            if not step:
                 return None
-            here = co[t]
+            out += step[0]
+            node = step[1]
+        return tuple(out)
+
+    def _segment(self, node, here, there, a):
+        """One position of `unique`'s walk: from `node`, inside the
+        co-reach set `here`, the spontaneous moves, then the move on `a`
+        into `there`, or the stop at the end of the word when `a` is None.
+        Gives (output symbols, next node), or () where the walk refuses.
+        `unique` memoizes it under (node, there, a), leaving `here` out: it
+        is the co-reach step of `there` on `a`, or the end set when `a` is
+        None."""
+        eps, letter, final = self.index.eps, self.index.letter, self.final
+        emitted = []
+        # The states of the k-th set end paths of k spontaneous moves, so
+        # without a cycle of them k is at most the number of states with
+        # such moves.  A set holding a state on a cycle can never move on
+        # or stop alone: the cycle's next state is co-reachable too and
+        # offers a symbol.  So running out of steps means a cycle that
+        # could be pumped.
+        for _k in range(len(eps) + 1):
             sym = nxt = None
             for s in node:
                 for (_s, _a, o, d) in eps.get(s, ()):
@@ -288,24 +338,22 @@ class UniformParser:
                         elif o == sym:
                             nxt.add(d)
                         else:
-                            return None
-            if t == n:
+                            return ()
+            if a is None:
                 if final in node:
-                    return tuple(out) if sym is None else None
+                    return (tuple(emitted), None) if sym is None else ()
             else:
-                a, there = syms[t], co[t + 1]
                 moved = {d for s in node for (_s, _a, _o, d)
                          in letter.get((s, a), ()) if d in there}
                 if moved:
                     if sym is not None:
-                        return None
-                    out.append(a)
-                    node = moved
-                    t += 1
-                    continue
+                        return ()
+                    emitted.append(a)
+                    return (tuple(emitted), frozenset(moved))
             # live configurations always move on, so sym is set here
-            out.append(sym[0])
+            emitted.append(sym[0])
             node = nxt
+        return ()
 
     def parse(self, word):
         """The selected parsing of `word`, or None outside the domain."""

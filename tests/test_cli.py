@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rtec import cli, pipeline
 from rtec.cli import main
 import pytest
 
@@ -119,10 +120,35 @@ def test_dump_dot(tmp_path, capsys):
     assert sum(1 for line in text.splitlines() if "circle" in line) == 5
 
 
-def test_dump_unknown_machine(capsys):
+def test_dump_unknown_machine(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_pipeline", built.append)
     rc = main(["dump", "--expr", "rev", "--sigma", "ab", "--gamma", "",
                "--machine", "nonsense"])
     assert rc == 2
+    assert "unknown machine 'nonsense'" in capsys.readouterr().err
+    # refused before anything is built
+    assert built == []
+
+
+def test_dump_builds_only_the_machine_it_prints(capsys, monkeypatch):
+    calls = []
+    real = pipeline.build_functionality_checker
+
+    def checker(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "build_functionality_checker", checker)
+    args = ["dump", "--expr", '(a -> "c") + (a -> "d")', "--sigma", "ab",
+            "--gamma", "cd", "--format", "json", "--machine"]
+    for (machine, kind) in (("parser", "1nft"), ("evaluator", "2nft")):
+        assert main(args + [machine]) == 0
+        assert json.loads(capsys.readouterr().out)["type"] == kind
+    assert calls == []
+    assert main(args + ["checker"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "nfa"
+    assert len(calls) == 1
 
 
 def test_dump_parser_base_counts(capsys):

@@ -121,6 +121,21 @@ def test_eps_cyclic_states():
     assert MoveIndex(trans).eps_cyclic == {0, 1, 2}
 
 
+def test_eps_joins_match_closures():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        trans = [(rng.randrange(n), rng.choice((None, None, A)),
+                  rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        index = MoveIndex(trans)
+        touched = {t[i] for t in trans if t[1] is None for i in (0, 2)}
+        clo = index.eps_joins(lambda q: (q,))
+        assert clo == {p: index.closure((p,)) for p in touched}, trans
+        reach = index.eps_joins(lambda q: index.step((q,), A))
+        assert reach == {p: index.step(index.closure((p,)), A)
+                         for p in touched}, trans
+
+
 def test_enumerate_outputs_epsilon_guard():
     # the second word lies outside the domain but still reaches the cycle
     for text in ('(@ -> "x")*', '(@ -> "x")* . (b -> "c")'):

@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rtec import corpus
 from rtec.expr import label_occurrences, pretty
-from rtec.machines import (enumerate_outputs, minimize_dfa, nfa_accepts,
-                           run_two_way)
+from rtec.machines import (MoveIndex, enumerate_outputs, minimize_dfa,
+                           nfa_accepts, run_two_way)
 from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
 from rtec import pipeline
@@ -163,7 +163,7 @@ def test_build_pipeline_leaves_checker_and_acceptor_for_first_use(
 def test_coreach_memo_stays_under_its_cap(monkeypatch):
     cap = 12
     monkeypatch.setattr(pipeline, "COREACH_MEMO_STATES", cap)
-    cleared = 0
+    cleared = segments_cleared = 0
     for e in generate(40, seed=44)[:20]:
         h = label_occurrences(e)
         o = Oracle(h)
@@ -171,11 +171,58 @@ def test_coreach_memo_stays_under_its_cap(monkeypatch):
         u = pl.uniformizer
         for w in words_upto(5):
             before = len(u._memo)
+            segments_before = len(u._segments)
             assert pl.run_unambiguous(w) == o.usem(h, w), (pretty(e), w)
             held = sum(len(v) for v in u._memo.values())
             assert held == u._memo_states <= cap, (pretty(e), w)
+            # the segment memo has the same cap
+            assert len(u._segments) <= cap, (pretty(e), w)
+            if len(u._memo) < before:
+                # its keys hold co-reach sets, so it went with them: what
+                # is left is at most this word's walk, one per position
+                assert len(u._segments) <= len(w) + 1, (pretty(e), w)
             cleared += len(u._memo) < before
-    assert cleared
+            segments_cleared += len(u._segments) < segments_before
+    assert cleared and segments_cleared
+
+
+def star_product_value(w):
+    if len(w) < 2 or w[-1] != "b":
+        return None
+    return "x" + "".join("c" if c == "a" else "dd" for c in reversed(w[:-2]))
+
+
+# the long-words benchmark's expressions, with their values in closed form
+LONG_CASES = [
+    ('(((a+b)* -> "x") odot rev) odot (dup{#} odot rev)',
+     lambda w: "x" + w[::-1] + w + "#" + w + w[::-1]),
+    ('((a -> "c") + (b -> "dd"))*r .r ((a+b)b -> "x")', star_product_value),
+    ('kstar{3, a+b}(((a+b)(a+b)(a+b) -> "c") . rev)',
+     lambda w: "c" * max(0, len(w) - 2)),
+]
+
+
+def test_unique_on_long_words():
+    rng = random.Random(13)
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        u = pl.uniformizer
+        for last in "abab":
+            w = "".join(rng.choice("ab") for _ in range(1999)) + last
+            assert pl.run_unambiguous(w) == value(w), (text, last)
+            assert u.unique(w) == u.parse(w), (text, last)
+
+
+def test_unique_is_the_selected_parsing_where_defined():
+    defined = 0
+    for e in generate():
+        u = build_pipeline(label_occurrences(e), SIGMA).uniformizer
+        for w in words_upto(5):
+            al = u.unique(w)
+            if al is not None:
+                assert al == u.parse(w), (pretty(e), w)
+                defined += 1
+    assert defined
 
 
 def test_run_unambiguous_examples():
@@ -261,6 +308,29 @@ def test_macro_step_table():
     branches = {d for (d, _d) in same}
     assert len(branches) == 2
     assert {d for pair in diff for d in pair} == branches
+
+
+def test_checker_walks_the_epsilon_moves_once_per_letter(monkeypatch):
+    # a chain of stars: every state's epsilon closure spans the chain
+    h = mk('(a -> "x")' + "*" * 200)
+    parser = build_parser(h, SIGMA)
+    passes = []
+    real = MoveIndex.eps_components
+
+    def counting(index):
+        passes.append(index)
+        return real(index)
+
+    monkeypatch.setattr(MoveIndex, "eps_components", counting)
+    monkeypatch.setattr(MoveIndex, "closure", None)
+    checker = pipeline.build_functionality_checker(parser, SIGMA)
+    assert len(passes) <= len(SIGMA)
+    monkeypatch.undo()
+    # two parsings or more: in the domain, but no unique one
+    u = uniformize_parser(parser)
+    for w in words_upto(3):
+        assert nfa_accepts(checker, w) == (
+            u.parse(w) is not None and u.unique(w) is None), w
 
 
 def test_corrupted_parser_detected_by_differential():
