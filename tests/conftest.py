@@ -19,6 +19,22 @@ def words_upto(n, sigma=SIGMA):
     return out
 
 
+def star_product_value(w):
+    if len(w) < 2 or w[-1] != "b":
+        return None
+    return "x" + "".join("c" if c == "a" else "dd" for c in reversed(w[:-2]))
+
+
+# the long-words benchmark's expressions, with their values in closed form
+LONG_CASES = [
+    ('(((a+b)* -> "x") odot rev) odot (dup{#} odot rev)',
+     lambda w: "x" + w[::-1] + w + "#" + w + w[::-1]),
+    ('((a -> "c") + (b -> "dd"))*r .r ((a+b)b -> "x")', star_product_value),
+    ('kstar{3, a+b}(((a+b)(a+b)(a+b) -> "c") . rev)',
+     lambda w: "c" * max(0, len(w) - 2)),
+]
+
+
 def nested_factors(k):
     """k right-nested (a -> "c") factors, defined on a^k only."""
     text = '(a -> "c")'

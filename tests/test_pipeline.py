@@ -16,7 +16,7 @@ from rtec.pipeline import (MacroStepTable, build_pipeline,
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
 from rtec.symbols import render_word
 
-from conftest import SIGMA, mk, words_upto
+from conftest import LONG_CASES, SIGMA, mk, words_upto
 
 
 def test_checker_accepts_ambiguous_sum():
@@ -184,22 +184,6 @@ def test_coreach_memo_stays_under_its_cap(monkeypatch):
             cleared += len(u._memo) < before
             segments_cleared += len(u._segments) < segments_before
     assert cleared and segments_cleared
-
-
-def star_product_value(w):
-    if len(w) < 2 or w[-1] != "b":
-        return None
-    return "x" + "".join("c" if c == "a" else "dd" for c in reversed(w[:-2]))
-
-
-# the long-words benchmark's expressions, with their values in closed form
-LONG_CASES = [
-    ('(((a+b)* -> "x") odot rev) odot (dup{#} odot rev)',
-     lambda w: "x" + w[::-1] + w + "#" + w + w[::-1]),
-    ('((a -> "c") + (b -> "dd"))*r .r ((a+b)b -> "x")', star_product_value),
-    ('kstar{3, a+b}(((a+b)(a+b)(a+b) -> "c") . rev)',
-     lambda w: "c" * max(0, len(w) - 2)),
-]
 
 
 def test_unique_on_long_words():
