@@ -19,8 +19,8 @@ from .expr import (RteSyntaxError, TreeTooDeep, label_occurrences, parse_rte,
 from .machines import (enumerate_outputs, is_reversible, nfa_accepts,
                        run_two_way, to_dot, to_json_dict)
 from .oracle import Oracle, OracleLimitError, check_kstar_conditions
-from .evaluator_build import build_evaluator, evaluator_shape_ok
-from .parser_build import build_parser, parser_invariants_ok
+from .evaluator_build import evaluator_shape_ok
+from .parser_build import parser_invariants_ok
 from .pipeline import build_pipeline, check_size_bounds, domain_dfas
 from .symbols import render_word
 
@@ -121,24 +121,18 @@ def cmd_eval(args) -> int:
     expr, _text = _expression(args, sigma, gamma)
     h = label_occurrences(expr)
     word = args.word
+    pl = build_pipeline(h, sigma)
     if args.mode == "relational":
-        parser = build_parser(h, sigma)
-        evaluator = build_evaluator(h, sigma)
-        res = enumerate_outputs(parser, word)
         if args.show_parsing:
-            for al in sorted(res.outputs, key=render_word):
+            for al in sorted(enumerate_outputs(pl.parser, word).outputs,
+                             key=render_word):
                 print("parsing:", render_word(al))
-        values = set()
-        for al in res.outputs:
-            r = run_two_way(evaluator, al)
-            if r.status == "accept":
-                values.add(r.output)
+        (values, truncated) = pl.run_relational(word)
         print("{%s}" % ", ".join('"%s"' % v for v in sorted(values)))
-        if res.truncated:
+        if truncated:
             print("warning: output set truncated (unbounded iteration)",
                   file=sys.stderr)
         return 0
-    pl = build_pipeline(h, sigma)
     if args.show_parsing:
         al = pl.uniformizer.unique(word)
         if al is not None:
@@ -185,14 +179,13 @@ def cmd_check(args) -> int:
                    sorted(map(render_word, exp.items)))
         rsem = o.rsem(h, w)
         if not (parsed.truncated or rsem.truncated):
-            got = set()
             for al in parsed.outputs:
                 r = run_two_way(pl.evaluator, al)
                 if r.status != "accept":
                     report("evaluator-run", w, r.status, "accept")
                     break
-                got.add(r.output)
             else:
+                got = pl.run_relational(w)[0]
                 if got != rsem.items:
                     report("relational", w, sorted(got), sorted(rsem.items))
         if nfa_accepts(pl.checker, w) != (o.dom(h, w) and not o.udom(h, w)):

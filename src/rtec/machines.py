@@ -11,6 +11,11 @@ On a tape of at least `SWEEP_MIN_TAPE` symbols, a run takes each sweep, a
 self-loop that carries the head across a block in one state, as one regular
 expression search and one `str.translate` over the coded tape, so it costs
 Python steps per change of state rather than per symbol.
+
+A one-way transducer's outputs on a word come from one forward walk over
+memoized segments (`SegmentWalk`), kept on the transducer: all of them for
+`enumerate_outputs`, or the only one for the uniformizer's `unique`.  Both
+read the same co-reach sets and the same segments.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
-from .symbols import LEFT_END, RIGHT_END, Sym, letters, render
+from .symbols import LEFT_END, RIGHT_END, Sym, letter, letters, render
 
 
 class MachineError(ValueError):
@@ -30,6 +35,18 @@ class MachineError(ValueError):
 
 # ---------------------------------------------------------------------------
 # One-way machines
+
+def _walk(start, adj: dict) -> set:
+    """The states reachable from `start` in `adj`, state to state list."""
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for d in adj.get(stack.pop(), ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
 
 class MoveIndex:
     """The transitions of a one-way machine by state, in construction order.
@@ -70,18 +87,9 @@ class MoveIndex:
                     stack.append(d)
         return seen
 
-    def coclosure(self, states, within=None) -> set:
-        """States that reach `states` by epsilon moves, passing only
-        through `within` when it is given."""
-        seen = set(states)
-        stack = list(states)
-        rev = self.rev_eps
-        while stack:
-            for s in rev.get(stack.pop(), ()):
-                if s not in seen and (within is None or s in within):
-                    seen.add(s)
-                    stack.append(s)
-        return seen
+    def coclosure(self, states) -> set:
+        """States that reach `states` by epsilon moves."""
+        return _walk(states, self.rev_eps)
 
     def eps_components(self):
         """The strongly connected components of the epsilon moves, each
@@ -328,6 +336,15 @@ def minimize_dfa(d: Dfa) -> Dfa:
 # ---------------------------------------------------------------------------
 # One-way transducers
 
+# The most states a `SegmentWalk`'s state sets hold, and the most segments
+# it keeps; past either, its memos start over.  At 33 to 73 bytes a state
+# in a frozenset the first is 4 to 10 MB per transducer, and at about 700
+# bytes a segment the second about 90 MB.  One pass of both semantics over
+# the acceptance corpus (200 parsers, 127 words each) leaves 4,861 states,
+# at most 241 in one parser, and 2,436 segments.
+COREACH_MEMO_STATES = 1 << 17
+
+
 @dataclass
 class OneWayTransducer:
     """1NFT with epsilon input moves; outputs are tuples of symbols."""
@@ -357,16 +374,202 @@ class OneWayTransducer:
         return MoveIndex([t for t in self.transitions
                           if t[0] in useful and t[3] in useful], reverse=True)
 
+    @cached_property
+    def walker(self) -> SegmentWalk:
+        """The memoized walk over the index, built on first use and kept."""
+        return SegmentWalk(self)
 
-def _walk(start: set, adj: dict) -> set:
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        for d in adj.get(stack.pop(), ()):
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return seen
+
+class SegmentWalk:
+    """All outputs of a one-way transducer on a word, or its only one, from
+    one forward walk over segments memoized across words.
+
+    A backward pass gives the co-reachable states per position: each set
+    depends only on the next one and the letter between, so the sets are
+    the states of a subset automaton over the reversed word, memoized too.
+    The walk follows nodes, sets of co-reachable states sharing one output
+    prefix, cut into segments, one per position: from the node entering
+    position t, the spontaneous moves inside t, branching on their outputs,
+    then the letter move into the co-reach set after t, or the stop after
+    the last letter.  A segment depends only on its entry node, that next
+    set and the letter, and is kept under them as one flat tuple (chunk,
+    node, chunk, node, ...) of its branches' outputs and next nodes (None
+    for a stop), plus a last True if it has a live epsilon cycle.  Chunks
+    and nodes are interned, so keys and values share them.  As each move
+    emits one symbol, as a parser's do, distinct branches end in distinct
+    outputs.  The walk for the only output keeps () for a segment once it
+    shows a second branch or a cycle; the walk for all works it out anew.
+
+    A path of more spontaneous moves than there are states with such moves
+    repeats a state on a live, pumpable cycle.  Only then is the segment
+    worked out again with each configuration carrying its epsilon run,
+    cutting a move back into the run, as a run-by-run walk would.
+
+    All memos start over once the state sets hold more than
+    COREACH_MEMO_STATES states or there are more segments than that.
+    """
+
+    def __init__(self, t: OneWayTransducer):
+        self.index = t.index
+        self.finals = t.finals
+        self.end = frozenset(self.index.coclosure(t.finals))
+        self.start = frozenset((t.initial,))
+        # the transducer's own letter symbols, which memo keys meet again
+        self.letters = {a[1]: a for a in t.input_alphabet}
+        self.coreach_sets = {}
+        self.forward_sets = {}
+        self.held = 0
+        self.segments = {}
+        self.interned = {}
+
+    def _hold(self, states):
+        self.held += len(states)
+        if self.held > COREACH_MEMO_STATES:
+            self._forget()
+
+    def _forget(self):
+        for memo in (self.coreach_sets, self.forward_sets, self.segments,
+                     self.interned):
+            memo.clear()
+        self.held = 0
+
+    def coreach(self, syms) -> list:
+        """Co-reachable states per position, through the kept memo."""
+        index, memo = self.index, self.coreach_sets
+        co = [None] * (len(syms) + 1)
+        cur = co[-1] = self.end
+        for t in range(len(syms) - 1, -1, -1):
+            key = (cur, syms[t])
+            prev = memo.get(key)
+            if prev is None:
+                prev = memo[key] = frozenset(
+                    index.coclosure(index.back_step(cur, syms[t])))
+                self._hold(prev)
+            co[t] = cur = prev
+        return co
+
+    def truncated(self, word) -> bool:
+        """Whether a state on a cycle of epsilon moves is reachable on the
+        way through `word`, so that the output set may be infinite; outside
+        the domain too, as far as the word can be read."""
+        index, memo = self.index, self.forward_sets
+        cyclic = index.eps_cyclic
+        cur = frozenset(index.closure(self.start)) if cyclic else frozenset()
+        for a in map(letter, word) if isinstance(word, str) else word:
+            if not cur or not cyclic.isdisjoint(cur):
+                break
+            nxt = memo.get((cur, a))
+            if nxt is None:
+                nxt = memo[(cur, a)] = frozenset(
+                    index.closure(index.step(cur, a)))
+                self._hold(nxt)
+            cur = nxt
+        return not cyclic.isdisjoint(cur)
+
+    def outputs(self, word, one=False) -> list:
+        """The outputs on `word`, a str or a tuple of symbols.  With `one`,
+        the word's only output, or none when it has none or more than one:
+        the walk refuses at the first segment with other than one branch or
+        with a live epsilon cycle.  That is exact, because from a live node
+        without such a cycle every branch ends in an output."""
+        if isinstance(word, str):
+            syms = tuple(map(self.letters.get, word))
+            if None in syms:
+                syms = letters(word)
+        else:
+            syms = tuple(word)
+        co = self.coreach(syms)
+        if self.start.isdisjoint(co[0]):
+            return []
+        # past the last letter the walk can only stop
+        co.append(None)
+        syms += (None,)
+        seg, found, out = self.segments, [], []
+        # pending branches: (position, node, prefix length, own output)
+        (t, node, stack) = (0, self.start, [])
+        while True:
+            # a stop, the only branch with no next node, ends the word
+            for t in range(t, len(syms)):
+                key = (node, co[t + 1], syms[t])
+                step = seg.get(key)
+                # () is a segment known only to refuse a unique walk
+                if step is None or not (step or one):
+                    step = seg[key] = self._segment(node, co[t], co[t + 1],
+                                                    syms[t], one)
+                    if len(seg) > COREACH_MEMO_STATES:
+                        self._forget()
+                if len(step) != 2:
+                    if one:
+                        return []
+                    depth = len(out)
+                    stack += [(t + 1, nxt, depth, chunk) for (chunk, nxt)
+                              in zip(step[0::2], step[1::2])]
+                    break
+                (chunk, node) = step
+                out += chunk
+            else:
+                found.append(tuple(out))
+            if not stack:
+                return found
+            (t, node, depth, chunk) = stack.pop()
+            del out[depth:]
+            out += chunk
+
+    def _segment(self, node, here, there, a, one=False, runs=False):
+        """The segment from `node` inside the co-reach set `here` into
+        `there` on `a`, or to the stop when `a` is None; with `one`, () at
+        a second branch or a cycle.  The memo key leaves out `here`, the
+        co-reach step of `there` on `a` (the end set when `a` is None)."""
+        eps, letter = self.index.eps, self.index.letter
+        interned = self.interned.setdefault
+        bound = len(eps)
+        # with runs, a configuration is (state, states of its epsilon run)
+        entry = frozenset((s, frozenset((s,))) for s in node) if runs \
+            else node
+        value = []
+        todo = [((), entry, 0)]
+        while todo:
+            (chunk, node, k) = todo.pop()
+            # a node with one child hands over to it in place
+            while True:
+                if k > bound:
+                    return () if one else \
+                        self._segment(entry, here, there, a, runs=True)
+                states = {s for (s, _run) in node} if runs else node
+                if a is None:
+                    if not self.finals.isdisjoint(states):
+                        value += (interned(chunk, chunk), None)
+                else:
+                    moved = {}
+                    for s in states:
+                        for (_s, _a, o, d) in letter.get((s, a), ()):
+                            if d in there:
+                                moved.setdefault(o, set()).add(d)
+                    for (o, m) in moved.items():
+                        (c, m) = (chunk + o, frozenset(m))
+                        value += (interned(c, c), interned(m, m))
+                groups = {}
+                if runs:
+                    for (s, run) in node:
+                        for (_s, _a, o, d) in eps.get(s, ()):
+                            if d in here and d not in run:
+                                groups.setdefault(o, set()).add(
+                                    (d, run | {d}))
+                else:
+                    for s in node:
+                        for (_s, _a, o, d) in eps.get(s, ()):
+                            if d in here:
+                                groups.setdefault(o, set()).add(d)
+                if one and len(value) + 2 * len(groups) > 2:
+                    return ()
+                if len(groups) != 1:
+                    break
+                ((o, node),) = groups.items()
+                chunk += o
+                k += 1
+            for (o, g) in groups.items():
+                todo.append((chunk + o, g, k + 1))
+        return tuple(value + [True]) if runs else tuple(value)
 
 
 @dataclass
@@ -376,99 +579,12 @@ class EnumResult:
 
 
 def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
-    """All outputs of t on `word`, with a guard against epsilon cycles.
-
-    A forward subset pass over `t.index` gives the states reachable at each
-    position; a backward pass within those sets keeps the live ones, which
-    can still end in a final state after the last letter.  The walk then
-    visits nodes, sets of live configurations (state, position) that share
-    one output prefix.  A node's children are its configurations' moves
-    grouped by output, so when every move emits one symbol, as a parser's
-    do, no two nodes share a prefix and each output is found once.
-
-    A reachable state on an epsilon cycle (a pumpable cycle, hence possibly
-    an infinite output set) sets the truncated flag.  On such a word each
-    configuration also carries the states of its current epsilon run, and
-    an epsilon move back into one of them is cut off, as a run-by-run walk
-    would cut it; on any other word no run can revisit a state that way.
-    """
-    syms = letters(word) if isinstance(word, str) else tuple(word)
-    n = len(syms)
-    index = t.index
-    cyclic = index.eps_cyclic
-    cur = frozenset(index.closure({t.initial}))
-    res = EnumResult(set(), not cyclic.isdisjoint(cur))
-    fwd = [cur]
-    memo = {}
-    for a in syms:
-        nxt = memo.get((cur, a))
-        if nxt is None:
-            nxt = memo[(cur, a)] = frozenset(index.closure(index.step(cur, a)))
-            if not nxt:
-                return res
-            if not res.truncated and not cyclic.isdisjoint(nxt):
-                res.truncated = True
-        fwd.append(nxt)
-        cur = nxt
-
-    live = [None] * (n + 1)
-    cur = live[n] = frozenset(index.coclosure(t.finals & fwd[n], fwd[n]))
-    memo = {}
-    for i in range(n - 1, -1, -1):
-        key = (cur, syms[i], fwd[i])
-        prev = memo.get(key)
-        if prev is None:
-            prev = memo[key] = frozenset(index.coclosure(
-                index.back_step(cur, syms[i]) & fwd[i], fwd[i]))
-        live[i] = cur = prev
-    if t.initial not in live[0]:
-        return res
-
-    letter, eps, finals = index.letter, index.eps, t.finals
-    runs = res.truncated  # whether configurations carry their epsilon run
-
-    def children(node):
-        # configurations are (state, position, epsilon run or None)
-        done = False
-        groups = {}
-        for (s, i, seen) in node:
-            if i == n:
-                done = done or s in finals
-            else:
-                nxt = live[i + 1]
-                for (_s, _a, o, d) in letter.get((s, syms[i]), ()):
-                    if d in nxt:
-                        groups.setdefault(o, set()).add(
-                            (d, i + 1, frozenset((d,)) if runs else None))
-            here = live[i]
-            for (_s, _a, o, d) in eps.get(s, ()):
-                if d in here:
-                    if not runs:
-                        groups.setdefault(o, set()).add((d, i, None))
-                    elif d not in seen:
-                        groups.setdefault(o, set()).add((d, i, seen | {d}))
-        return done, groups
-
-    out = []
-    start = {(t.initial, 0, frozenset((t.initial,)) if runs else None)}
-    # pending siblings: (node, length of the parent's prefix, own output);
-    # a node with one child hands over to it in place
-    stack = [(start, 0, ())]
-    while stack:
-        (node, depth, chunk) = stack.pop()
-        del out[depth:]
-        out.extend(chunk)
-        while True:
-            (done, groups) = children(node)
-            if done:
-                res.outputs.add(tuple(out))
-            if len(groups) != 1:
-                break
-            ((chunk, node),) = groups.items()
-            out.extend(chunk)
-        depth = len(out)
-        stack.extend((node, depth, chunk) for (chunk, node) in groups.items())
-    return res
+    """All outputs of t on `word`, from the transducer's segment walk.  The
+    truncated flag is set when a state on a cycle of epsilon moves, which
+    could be pumped, is reachable; the outputs are then those of the runs
+    cut where an epsilon run would revisit a state."""
+    walker = t.walker
+    return EnumResult(set(walker.outputs(word)), walker.truncated(word))
 
 
 # ---------------------------------------------------------------------------

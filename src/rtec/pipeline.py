@@ -11,17 +11,16 @@ difference), which terminates even when the parser has epsilon cycles.
 exports, size reports and checks: the runtime needs neither.
 
 The uniformizer realizes the two-pass decomposition: a backward pass
-annotates positions with co-reachable parser states, memoized across words.
-The per-word gate of `run_unambiguous` is a forward walk over sets of
-co-reachable configurations sharing one output prefix, which yields the
-word's parsing exactly when it has no other.  Its step over one position
-is memoized too, so a word costs two dictionary lookups per letter once
-its steps are known; both memos start over past COREACH_MEMO_STATES
-entries.  The paper's selection, kept as `UniformParser.parse`, picks at
-each step the first co-reachable transition in construction order
-(falling back to the next one only if the greedy choice closes a cycle),
-so it is deterministic and returns exactly one parsing on the parser's
-domain.
+annotates positions with co-reachable parser states, and a forward walk
+over sets of co-reachable configurations sharing one output prefix yields
+the word's parsing exactly when it has no other.  Both passes are the
+parser's own segment walk (`machines.SegmentWalk`), memoized across words
+and shared with relational evaluation, so a word costs two dictionary
+lookups per letter once its segments are known.  The paper's selection,
+kept as `UniformParser.parse`, picks at each step the first co-reachable
+transition in construction order (falling back to the next one only if the
+greedy choice closes a cycle), so it is deterministic and returns exactly
+one parsing on the parser's domain.
 """
 
 from __future__ import annotations
@@ -35,20 +34,11 @@ from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
 from .glushkov import glushkov
 from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
                        complement_dfa, determinize, dfa_difference,
-                       dfa_intersect, dfa_union, minimize_dfa, run_two_way)
+                       dfa_intersect, dfa_union, enumerate_outputs,
+                       minimize_dfa, run_two_way)
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
 from .symbols import letter, letters
-
-# The most co-reachable states a UniformParser keeps in its memo of
-# backward steps, and the most segments of the forward walk it keeps; past
-# either, that memo starts over.  At 33 to 73 bytes a state in a frozenset
-# the first is 4 to 10 MB per parser; a segment took about 700 bytes on the
-# acceptance corpus, so a full segment memo would hold about 90 MB.  Both
-# are far above what the benchmark's parsers need: at most 3,640 states
-# after a pass, and 1,647 segments over all 200 corpus parsers.
-COREACH_MEMO_STATES = 1 << 17
-
 
 # ---------------------------------------------------------------------------
 # Macro steps of the parser: one letter consumed after parenthesis moves
@@ -219,25 +209,9 @@ def build_unambiguity_acceptor(checker: Nfa) -> Dfa:
 class UniformParser:
     """Deterministic selection of one parsing per domain word.
 
-    Backward pass: co-reachable parser states per input position.  Each set
-    depends only on the next one and the letter between, so the sets are
-    the states of a subset automaton over the reversed word; they are built
-    on first use and kept across words in a memo that is emptied once it
-    holds more than COREACH_MEMO_STATES states.
-
-    `unique` decides the unambiguous semantics by itself, in one forward
-    walk over sets of co-reachable configurations that share one output
-    prefix: the word has exactly one parsing when no set on the way offers
-    two output symbols, can both stop and go on, or holds a state on a
-    cycle of epsilon moves, which could be pumped.  The walk is cut into
-    segments, one per position: from the set entering position t, the
-    spontaneous moves inside t, then the letter move, or the stop after the
-    last letter.  A segment depends only on its entry set, the co-reach set
-    after it and the letter, so it is memoized under those, with its output
-    symbols and the set it enters (or its refusal); `unique` then takes one
-    lookup per letter.  The segment memo is emptied with the co-reach memo,
-    whose sets its keys hold, and once it holds more than
-    COREACH_MEMO_STATES segments.
+    `unique` decides the unambiguous semantics by itself: it is the
+    no-branch mode of the parser's segment walk, whose memos it shares with
+    `enumerate_outputs`.
 
     `parse` is the paper's uniformizer, defined on the whole domain: a
     depth-first walk trying, at each step, the co-reachable successors in a
@@ -249,121 +223,23 @@ class UniformParser:
     def __init__(self, parser: OneWayTransducer):
         self.parser = parser
         self.final = next(iter(parser.finals))
-        self.index = parser.index
-        self._end = frozenset(self.index.coclosure({self.final}))
-        self._memo = {}
-        self._memo_states = 0
-        self._start = frozenset((parser.initial,))
-        self._segments = {}
-        self._letters = {a[1]: a for a in parser.input_alphabet}
-
-    def _coreach(self, syms):
-        """Co-reachable states per position, through the kept memo."""
-        index, memo = self.index, self._memo
-        co = [None] * (len(syms) + 1)
-        cur = co[-1] = self._end
-        for t in range(len(syms) - 1, -1, -1):
-            key = (cur, syms[t])
-            prev = memo.get(key)
-            if prev is None:
-                prev = memo[key] = frozenset(
-                    index.coclosure(index.back_step(cur, syms[t])))
-                self._memo_states += len(prev)
-                if self._memo_states > COREACH_MEMO_STATES:
-                    memo.clear()
-                    self._memo_states = 0
-                    # segment keys hold co-reach sets: let them go too
-                    self._segments.clear()
-            co[t] = cur = prev
-        return co
+        self.walker = parser.walker
 
     def unique(self, word):
         """The only parsing of `word`, or None when it has none or more
         than one."""
-        if isinstance(word, str):
-            # the parser's own letter symbols: none is built per letter,
-            # and memo keys meet them again by identity
-            syms = tuple(map(self._letters.get, word))
-            if None in syms:
-                syms = letters(word)
-        else:
-            syms = tuple(word)
-        n = len(syms)
-        co = self._coreach(syms)
-        if self.parser.initial not in co[0]:
-            return None
-        # every configuration of a node sits at position t: a parser's
-        # letter moves copy the letter, so the prefix fixes the position.
-        # Past the last letter the walk can only stop.
-        co.append(None)
-        syms += (None,)
-        seg, node, out = self._segments, self._start, []
-        for t in range(n + 1):
-            key = (node, co[t + 1], syms[t])
-            step = seg.get(key)
-            if step is None:
-                step = seg[key] = self._segment(node, co[t], co[t + 1],
-                                                syms[t])
-                if len(seg) > COREACH_MEMO_STATES:
-                    seg.clear()
-            if not step:
-                return None
-            out += step[0]
-            node = step[1]
-        return tuple(out)
-
-    def _segment(self, node, here, there, a):
-        """One position of `unique`'s walk: from `node`, inside the
-        co-reach set `here`, the spontaneous moves, then the move on `a`
-        into `there`, or the stop at the end of the word when `a` is None.
-        Gives (output symbols, next node), or () where the walk refuses.
-        `unique` memoizes it under (node, there, a), leaving `here` out: it
-        is the co-reach step of `there` on `a`, or the end set when `a` is
-        None."""
-        eps, letter, final = self.index.eps, self.index.letter, self.final
-        emitted = []
-        # The states of the k-th set end paths of k spontaneous moves, so
-        # without a cycle of them k is at most the number of states with
-        # such moves.  A set holding a state on a cycle can never move on
-        # or stop alone: the cycle's next state is co-reachable too and
-        # offers a symbol.  So running out of steps means a cycle that
-        # could be pumped.
-        for _k in range(len(eps) + 1):
-            sym = nxt = None
-            for s in node:
-                for (_s, _a, o, d) in eps.get(s, ()):
-                    if d in here:
-                        if sym is None:
-                            sym, nxt = o, {d}
-                        elif o == sym:
-                            nxt.add(d)
-                        else:
-                            return ()
-            if a is None:
-                if final in node:
-                    return (tuple(emitted), None) if sym is None else ()
-            else:
-                moved = {d for s in node for (_s, _a, _o, d)
-                         in letter.get((s, a), ()) if d in there}
-                if moved:
-                    if sym is not None:
-                        return ()
-                    emitted.append(a)
-                    return (tuple(emitted), frozenset(moved))
-            # live configurations always move on, so sym is set here
-            emitted.append(sym[0])
-            node = nxt
-        return ()
+        found = self.walker.outputs(word, True)
+        return found[0] if found else None
 
     def parse(self, word):
         """The selected parsing of `word`, or None outside the domain."""
         syms = letters(word) if isinstance(word, str) else tuple(word)
         n = len(syms)
-        co = self._coreach(syms)
+        co = self.walker.coreach(syms)
         if self.parser.initial not in co[0]:
             return None
 
-        eps, letter = self.index.eps, self.index.letter
+        eps, letter = self.parser.index.eps, self.parser.index.letter
 
         def moves(state, t):
             for (_s, _a, o, dst) in eps.get(state, ()):
@@ -588,6 +464,13 @@ class Pipeline:
             raise RuntimeError("evaluator %s on selected parsing of %r"
                                % (res.status, word))
         return res.output
+
+    def run_relational(self, word: str):
+        """(values, truncated): the outputs of the evaluator's accepting
+        runs on the word's parsings, and whether these were cut off."""
+        res = enumerate_outputs(self.parser, word)
+        runs = [run_two_way(self.evaluator, al) for al in res.outputs]
+        return {r.output for r in runs if r.status == "accept"}, res.truncated
 
 
 def build_pipeline(h: LabeledExpr, sigma: str) -> Pipeline:

@@ -9,7 +9,7 @@ from rtec.machines import (MoveIndex, enumerate_outputs, minimize_dfa,
                            nfa_accepts, run_two_way)
 from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
-from rtec import pipeline
+from rtec import machines, pipeline
 from rtec.pipeline import (MacroStepTable, build_pipeline,
                            check_size_bounds, domain_dfas,
                            uniformize_parser)
@@ -160,30 +160,57 @@ def test_build_pipeline_leaves_checker_and_acceptor_for_first_use(
     assert calls == ["checker", "determinize"]
 
 
-def test_coreach_memo_stays_under_its_cap(monkeypatch):
+def test_walker_memos_stay_under_their_cap(monkeypatch):
+    # unambiguous and relational calls share the parser's walker, so they
+    # fill and empty the same memos
     cap = 12
-    monkeypatch.setattr(pipeline, "COREACH_MEMO_STATES", cap)
+    monkeypatch.setattr(machines, "COREACH_MEMO_STATES", cap)
     cleared = segments_cleared = 0
     for e in generate(40, seed=44)[:20]:
         h = label_occurrences(e)
         o = Oracle(h)
         pl = build_pipeline(h, SIGMA)
-        u = pl.uniformizer
+        walker = pl.parser.walker
         for w in words_upto(5):
-            before = len(u._memo)
-            segments_before = len(u._segments)
+            before = len(walker.coreach_sets)
+            segments_before = len(walker.segments)
             assert pl.run_unambiguous(w) == o.usem(h, w), (pretty(e), w)
-            held = sum(len(v) for v in u._memo.values())
-            assert held == u._memo_states <= cap, (pretty(e), w)
-            # the segment memo has the same cap
-            assert len(u._segments) <= cap, (pretty(e), w)
-            if len(u._memo) < before:
-                # its keys hold co-reach sets, so it went with them: what
-                # is left is at most this word's walk, one per position
-                assert len(u._segments) <= len(w) + 1, (pretty(e), w)
-            cleared += len(u._memo) < before
-            segments_cleared += len(u._segments) < segments_before
+            if len(walker.coreach_sets) < before:
+                # segment keys hold co-reach sets, so they went with them:
+                # what is left is at most this word's walk, one per position
+                assert len(walker.segments) <= len(w) + 1, (pretty(e), w)
+            cleared += len(walker.coreach_sets) < before
+            segments_cleared += len(walker.segments) < segments_before
+            got = enumerate_outputs(pl.parser, w)
+            exp = o.parsings(h, w)
+            if not (got.truncated or exp.truncated):
+                assert got.outputs == exp.items, (pretty(e), w)
+            held = sum(map(len, walker.coreach_sets.values())) + sum(
+                map(len, walker.forward_sets.values()))
+            assert held == walker.held <= cap, (pretty(e), w)
+            assert len(walker.segments) <= cap, (pretty(e), w)
     assert cleared and segments_cleared
+
+
+def test_shared_walker_matches_fresh_parsers():
+    # memos kept across words and across both semantics give what a
+    # parser built afresh for each call gives
+    rng = random.Random(3)
+    for e in generate(40, seed=42)[:25]:
+        h = label_occurrences(e)
+        shared = uniformize_parser(build_parser(h, SIGMA))
+        calls = [(w, rel) for w in words_upto(4) for rel in (False, True)]
+        rng.shuffle(calls)
+        for (w, rel) in calls:
+            fresh = build_parser(h, SIGMA)
+            if rel:
+                got = enumerate_outputs(shared.parser, w)
+                exp = enumerate_outputs(fresh, w)
+                assert (got.outputs, got.truncated) == (
+                    exp.outputs, exp.truncated), (pretty(e), w)
+            else:
+                assert shared.unique(w) == uniformize_parser(
+                    fresh).unique(w), (pretty(e), w)
 
 
 def test_unique_on_long_words():
