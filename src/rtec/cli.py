@@ -37,6 +37,13 @@ def _read(path: str, what: str) -> str:
                          % (what, path, exc.strerror or exc))
 
 
+def _write(path: Path, text: str):
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _load_config(path: str) -> dict:
     conf = {}
     for raw in _read(path, "config file").splitlines():
@@ -82,18 +89,17 @@ def cmd_compile(args) -> int:
     h = label_occurrences(expr)
     pl = build_pipeline(h, sigma)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "parser.json").write_text(
-        json.dumps(to_json_dict(pl.parser), indent=1))
-    (out / "evaluator.json").write_text(
-        json.dumps(to_json_dict(pl.evaluator), indent=1))
-    (out / "checker.json").write_text(
-        json.dumps(to_json_dict(pl.checker), indent=1))
-    (out / "acceptor.json").write_text(
-        json.dumps(to_json_dict(pl.acceptor), indent=1))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError("cannot make directory %s: %s"
+                         % (out, exc.strerror or exc))
     rep = check_size_bounds(h, sigma, pl)
     dom = domain_dfas(h, sigma)[0]
-    (out / "dom.json").write_text(json.dumps(to_json_dict(dom), indent=1))
+    for (name, m) in (("parser", pl.parser), ("evaluator", pl.evaluator),
+                      ("checker", pl.checker), ("acceptor", pl.acceptor),
+                      ("dom", dom)):
+        _write(out / (name + ".json"), json.dumps(to_json_dict(m), indent=1))
     metrics = {
         "expression": pretty(expr),
         "size": rep.expr_size,
@@ -108,7 +114,7 @@ def cmd_compile(args) -> int:
         "checks": [{"name": n, "actual": a, "bound": b, "ok": g}
                    for (n, a, b, g) in rep.entries],
     }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=1))
+    _write(out / "metrics.json", json.dumps(metrics, indent=1))
     print("wrote parser/evaluator/checker/acceptor/dom/metrics to %s" % out)
     if not rep.ok:
         print("warning: size bounds violated", file=sys.stderr)
@@ -179,13 +185,15 @@ def cmd_check(args) -> int:
                    sorted(map(render_word, exp.items)))
         rsem = o.rsem(h, w)
         if not (parsed.truncated or rsem.truncated):
+            # each parsing runs once, for both the run and the value checks
+            got = set()
             for al in parsed.outputs:
                 r = run_two_way(pl.evaluator, al)
                 if r.status != "accept":
                     report("evaluator-run", w, r.status, "accept")
                     break
+                got.add(r.output)
             else:
-                got = pl.run_relational(w)[0]
                 if got != rsem.items:
                     report("relational", w, sorted(got), sorted(rsem.items))
         if nfa_accepts(pl.checker, w) != (o.dom(h, w) and not o.udom(h, w)):
@@ -223,7 +231,7 @@ def cmd_dump(args) -> int:
     text = to_dot(m, args.machine) if args.format == "dot" \
         else json.dumps(to_json_dict(m), indent=1)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(Path(args.out), text)
         print("wrote %s" % args.out)
     else:
         print(text)

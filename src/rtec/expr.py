@@ -107,17 +107,6 @@ def regex_size(e: Regex) -> int:
     return 1 + regex_size(e.left) + regex_size(e.right)
 
 
-def regex_letters(e: Regex) -> set:
-    if e.kind == LIT:
-        return {e.ch}
-    out = set()
-    if e.left is not None:
-        out |= regex_letters(e.left)
-    if e.right is not None:
-        out |= regex_letters(e.right)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -291,26 +280,6 @@ def uses_hadamard_or_kstar(h: Expr) -> bool:
 
 def uses_kstar(h: Expr) -> bool:
     return _uses(h, _KSTARS)
-
-
-def expr_letters(h: Expr) -> set:
-    out = set()
-    if h.regex is not None:
-        out |= regex_letters(h.regex)
-    for c in children(h):
-        out |= expr_letters(c)
-    return out
-
-
-def output_letters(h: Expr) -> set:
-    out = set()
-    if h.kind == BASE:
-        out |= set(h.out)
-    if h.kind == DUP:
-        out.add(h.sep)
-    for c in children(h):
-        out |= output_letters(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

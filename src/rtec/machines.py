@@ -16,6 +16,13 @@ A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
 `enumerate_outputs`, or the only one for the uniformizer's `unique`.  Both
 read the same co-reach sets and the same segments.
+
+Machines derived from others keep only their reachable states, and one
+depth-first explorer, `explore`, finds them and numbers them in order of
+discovery: the subset construction, DFA products and the reachable pass of
+minimization, through the DFA builder `_dfa`, as well as the parser's
+product constructions and the functionality checker's synchronized
+closures.
 """
 
 from __future__ import annotations
@@ -229,31 +236,53 @@ class Dfa:
                    for s in range(self.n_states) for a in self.alphabet)
 
 
-def determinize(nfa: Nfa, alphabet=None) -> Dfa:
-    """Powerset construction with epsilon closure; result is complete.
-    States are numbered in discovery order over the sorted alphabet, so the
-    numbering does not depend on the hash seed."""
-    alpha = frozenset(alphabet if alphabet is not None else nfa.alphabet)
-    ordered = sorted(alpha)
-    moves = MoveIndex(nfa.transitions)
-    start = frozenset(moves.closure({nfa.initial}))
-    index = {start: 0}
-    order = [start]
-    delta = {}
-    todo = [start]
+def explore(start, step) -> tuple:
+    """The states reachable from `start`, depth first.  `step(state)` lists
+    the state's moves as (label, state) pairs.  States are numbered in
+    order of discovery, `start` 0; the last state found is expanded first,
+    its moves taken in the order `step` lists them.  Returns the states by
+    number and the moves as (source, label, target), states by number, in
+    the order taken."""
+    number = {start: 0}
+    states = [start]
+    moves = []
+    todo = [0]
     while todo:
-        cur = todo.pop()
-        ci = index[cur]
-        for a in ordered:
-            nxt = frozenset(moves.closure(moves.step(cur, a)))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                todo.append(nxt)
-            delta[(ci, a)] = index[nxt]
-    finals = frozenset(i for st, i in index.items()
-                       if any(s in nfa.finals for s in st))
-    return Dfa(len(order), 0, finals, delta, alpha)
+        src = todo.pop()
+        for (label, d) in step(states[src]):
+            dst = number.get(d)
+            if dst is None:
+                dst = number[d] = len(states)
+                states.append(d)
+                todo.append(dst)
+            moves.append((src, label, dst))
+    return states, moves
+
+
+def _dfa(start, step, alphabet, final) -> Dfa:
+    """The complete DFA of the states reachable from `start`, where
+    `step(state, a)` is the state after `a` and `final(state)` its
+    acceptance; numbered by `explore` over the sorted alphabet, so the
+    numbering does not depend on the hash seed."""
+    ordered = sorted(alphabet)
+    (states, moves) = explore(
+        start, lambda s: [(a, step(s, a)) for a in ordered])
+    finals = frozenset(i for (i, s) in enumerate(states) if final(s))
+    return Dfa(len(states), 0, finals,
+               {(src, a): dst for (src, a, dst) in moves},
+               frozenset(alphabet))
+
+
+def determinize(nfa: Nfa, alphabet=None) -> Dfa:
+    """Powerset construction with epsilon closure; result is complete.  The
+    index is built here rather than read from `nfa.index`, so that it is
+    not kept on the automaton."""
+    moves = MoveIndex(nfa.transitions)
+    (closure, step, finals) = (moves.closure, moves.step, nfa.finals)
+    return _dfa(frozenset(closure({nfa.initial})),
+                lambda s, a: frozenset(closure(step(s, a))),
+                nfa.alphabet if alphabet is None else alphabet,
+                lambda s: any(q in finals for q in s))
 
 
 def complement_dfa(d: Dfa) -> Dfa:
@@ -267,24 +296,10 @@ def dfa_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
     """Product automaton; `accept(f1, f2)` decides finality per pair."""
     if d1.alphabet != d2.alphabet:
         raise MachineError("product over mismatched alphabets")
-    alpha = sorted(d1.alphabet)
-    index = {(d1.initial, d2.initial): 0}
-    order = [(d1.initial, d2.initial)]
-    delta = {}
-    todo = [(d1.initial, d2.initial)]
-    while todo:
-        (s1, s2) = todo.pop()
-        ci = index[(s1, s2)]
-        for a in alpha:
-            nxt = (d1.delta[(s1, a)], d2.delta[(s2, a)])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                todo.append(nxt)
-            delta[(ci, a)] = index[nxt]
-    finals = frozenset(index[(s1, s2)] for (s1, s2) in order
-                       if accept(s1 in d1.finals, s2 in d2.finals))
-    return Dfa(len(order), 0, finals, delta, d1.alphabet)
+    (t1, t2, f1, f2) = (d1.delta, d2.delta, d1.finals, d2.finals)
+    return _dfa((d1.initial, d2.initial),
+                lambda s, a: (t1[(s[0], a)], t2[(s[1], a)]), d1.alphabet,
+                lambda s: accept(s[0] in f1, s[1] in f2))
 
 
 def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
@@ -300,37 +315,28 @@ def dfa_difference(d1: Dfa, d2: Dfa) -> Dfa:
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
-    """Moore partition refinement on the reachable part."""
-    reach = {d.initial}
-    todo = [d.initial]
-    while todo:
-        s = todo.pop()
-        for a in d.alphabet:
-            t = d.delta[(s, a)]
-            if t not in reach:
-                reach.add(t)
-                todo.append(t)
-    states = sorted(reach)
+    """Moore partition refinement on the reachable part; blocks are
+    numbered in the order of their least state."""
     alpha = sorted(d.alphabet)
-    block = {s: (1 if s in d.finals else 0) for s in states}
+    states = sorted(explore(d.initial, lambda s: [(a, d.delta[(s, a)])
+                                                   for a in alpha])[0])
+    succ = {s: [d.delta[(s, a)] for a in alpha] for s in states}
+    block = {s: int(s in d.finals) for s in states}
+    count = len(set(block.values()))
     while True:
-        sig = {s: (block[s],) + tuple(block[d.delta[(s, a)]] for a in alpha)
-               for s in states}
         classes = {}
-        for s in states:
-            classes.setdefault(sig[s], len(classes))
-        new_block = {s: classes[sig[s]] for s in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        # a state's signature: its block and its successors' blocks
+        block = {s: classes.setdefault(
+                     (block[s], *map(block.__getitem__, succ[s])),
+                     len(classes))
+                 for s in states}
+        if len(classes) == count:
             break
-        block = new_block
-    n = len(set(block.values()))
-    delta = {}
-    for s in states:
-        for a in alpha:
-            delta[(block[s], a)] = block[d.delta[(s, a)]]
+        count = len(classes)
+    delta = {(block[s], a): block[t]
+             for s in states for (a, t) in zip(alpha, succ[s])}
     finals = frozenset(block[s] for s in states if s in d.finals)
-    return Dfa(n, block[d.initial], finals, delta, d.alphabet)
+    return Dfa(count, block[d.initial], finals, delta, d.alphabet)
 
 
 # ---------------------------------------------------------------------------

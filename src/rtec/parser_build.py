@@ -24,7 +24,7 @@ from itertools import product
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, nl)
 from .glushkov import glushkov
-from .machines import MoveIndex, OneWayTransducer
+from .machines import MoveIndex, OneWayTransducer, explore
 from .symbols import (CLOSE, OPEN, SEP, lclose, letter, lopen, sep,
                       with_index)
 
@@ -97,22 +97,15 @@ def _emit(h: LabeledExpr, sigma: str, b: _Builder, q_in: int, q_out: int):
         raise ValueError(h.kind)
 
 
-def _emit_reachable(b: _Builder, start, tid, moves, accepting, close, q_out):
-    """Wire the product tuples reachable from `start`.  `tid` numbers a
-    tuple, `moves` yields its (insym, outsym, tuple) moves and `accepting`
-    tells whether it also closes into q_out, which is its last move."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        key = todo.pop()
-        src = tid(key)
-        for (a, out, dst) in moves(key):
-            b.add(src, a, out, tid(dst))
-            if dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-        if accepting(key):
-            b.add(src, None, close, q_out)
+def _emit_reachable(b: _Builder, start, tid, moves, q_out):
+    """Wire the product tuples reachable from `start`, in `explore`'s
+    order.  `tid` numbers a tuple and `moves` yields its ((insym, outsym),
+    tuple) moves, where the tuple None stands for q_out."""
+    (keys, wired) = explore(start, lambda key: () if key is None
+                            else moves(key))
+    ids = [q_out if key is None else tid(key) for key in keys]
+    for (src, (a, o), dst) in wired:
+        b.add(ids[src], a, o, ids[dst])
 
 
 def _emit_hadamard(h, sigma, b, q_in, q_out):
@@ -134,19 +127,20 @@ def _emit_hadamard(h, sigma, b, q_in, q_out):
         (s, t, bit) = key
         if bit == 0:
             for (_s, _a, out, s2) in fi.eps.get(s, ()):
-                yield (None, out[0], (s2, t, 0))
+                yield ((None, out[0]), (s2, t, 0))
         for (_t, _a, out, t2) in gi.eps.get(t, ()):
-            yield (None, out[0], (s, t2, 1))
+            yield ((None, out[0]), (s, t2, 1))
         for a in alphabet:
             for (_s, _a, _o, s2) in fi.letter.get((s, a), ()):
                 for (_t, _a, _o, t2) in gi.letter.get((t, a), ()):
-                    yield (a, a, (s2, t2, 0))
+                    yield ((a, a), (s2, t2, 0))
+        if key == end:
+            yield ((None, lclose(h.occ)), None)
 
     start = (pf.initial, pg.initial, 0)
     end = (next(iter(pf.finals)), next(iter(pg.finals)), 1)
     b.add(q_in, None, lopen(h.occ), tid(start))
-    _emit_reachable(b, start, tid, moves, lambda key: key == end,
-                    lclose(h.occ), q_out)
+    _emit_reachable(b, start, tid, moves, q_out)
 
 
 def _mod(x: int, k: int) -> int:
@@ -199,7 +193,7 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                        for c in comps]
             for (_q, _a, q2) in q2s:
                 for nc in product(*options):
-                    yield (a, a, (i, q2, nc, m))
+                    yield ((a, a), (i, q2, nc, m))
         # case 2: a component emits an inner parenthesis
         for l in range(1, k + 1):
             ql = comps[l - 1]
@@ -211,7 +205,7 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                 if q2 == qf_f:
                     continue
                 nc = comps[:l - 1] + (q2,) + comps[l:]
-                yield (None, with_index(out[0], l), (i, q, nc, l))
+                yield ((None, with_index(out[0], l)), (i, q, nc, l))
         if q in ae.finals and comps[i - 1] != pf.initial:
             # case 3: close the block whose index is m
             qm = comps[m - 1]
@@ -220,7 +214,7 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                     if q2 != qf_f:
                         continue
                     nc = comps[:m - 1] + (qf_f,) + comps[m:]
-                    yield (None, with_index(out[0], m), (i, q, nc, j))
+                    yield ((None, with_index(out[0], m)), (i, q, nc, j))
             # case 4: factor boundary.  The construction also states a
             # not-accepting guard here; it is vacuous for k >= 2 (the forced
             # idle guess kills such runs) and would wrongly cut the k = 1
@@ -229,20 +223,15 @@ def _emit_kstar(h, sigma, b, q_in, q_out):
                 guesses = (bot,) if comps[i - 1] == bot else (bot, pf.initial)
                 for g in guesses:
                     nc = comps[:m - 1] + (g,) + comps[m:]
-                    yield (None, sep(h.occ), (m, ae.initial, nc, m))
-
-    def accepting(key):
-        (i, q, comps, _j) = key
-        if q not in ae.finals:
-            return False
-        m = _mod(i + 1, k)
-        if comps[m - 1] != qf_f:
-            return False
-        return all(comps[l] == bot for l in range(k) if l != m - 1)
+                    yield ((None, sep(h.occ)), (m, ae.initial, nc, m))
+        # an accepting tuple closes into q_out, its last move
+        if q in ae.finals and comps[m - 1] == qf_f and all(
+                comps[l] == bot for l in range(k) if l != m - 1):
+            yield ((None, lclose(h.occ)), None)
 
     start = (1, ae.initial, (pf.initial,) + (bot,) * (k - 1), 1)
     b.add(q_in, None, lopen(h.occ), tid(start))
-    _emit_reachable(b, start, tid, moves, accepting, lclose(h.occ), q_out)
+    _emit_reachable(b, start, tid, moves, q_out)
 
     # short-word branch: counts L(e) factors up to k-1; its initial state is
     # accepting so the empty factorization (n = 0) is parsed as ()

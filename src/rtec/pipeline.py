@@ -8,7 +8,14 @@ parenthesis moves, decided here by a finite saturation over state pairs
 (synchronized while the outputs agree, independent after the first
 difference), which terminates even when the parser has epsilon cycles.
 `Pipeline` builds B and its complement acceptor on first use only, for
-exports, size reports and checks: the runtime needs neither.
+exports, size reports and checks: the runtime needs neither.  B's pair
+states are found by a loop of its own; every other construction here,
+down to the saturation's closures, goes through `machines.explore`.
+
+`domain_dfas` builds deterministic acceptors of dom and udom bottom-up.
+The words with two factorizations under a star or a product come from
+subset constructions over states of the children's DFAs, built with
+`machines._dfa` from their transitions, reachable part only.
 
 The uniformizer realizes the two-pass decomposition: a backward pass
 annotates positions with co-reachable parser states, and a forward walk
@@ -32,9 +39,9 @@ from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, size, unlabel,
                    uses_hadamard_or_kstar, uses_kstar, width)
 from .glushkov import glushkov
-from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
+from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer, _dfa,
                        complement_dfa, determinize, dfa_difference,
-                       dfa_intersect, dfa_union, enumerate_outputs,
+                       dfa_intersect, dfa_union, enumerate_outputs, explore,
                        minimize_dfa, run_two_way)
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
@@ -73,23 +80,21 @@ class MacroStepTable:
     def sync_closure(self, p, q):
         """Pairs reachable while both sides emit the same parentheses."""
         key = (p, q)
-        if key in self._sync:
-            return self._sync[key]
-        seen = {key}
-        stack = [key]
-        while stack:
-            (s, t) = stack.pop()
-            t_by = {}
-            for (_t, _a, o, d) in self.eps.get(t, ()):
-                t_by.setdefault(o, []).append(d)
-            for (_s, _a, o, d1) in self.eps.get(s, ()):
-                for d2 in t_by.get(o, ()):
-                    if (d1, d2) not in seen:
-                        seen.add((d1, d2))
-                        stack.append((d1, d2))
-        r = frozenset(seen)
-        self._sync[key] = r
+        r = self._sync.get(key)
+        if r is None:
+            # the checker lists its moves in this set's iteration order,
+            # which depends on how it is built: grown pair by pair, copied
+            pairs = set(explore(key, self._sync_moves)[0])
+            r = self._sync[key] = frozenset(pairs)
         return r
+
+    def _sync_moves(self, pair):
+        (s, t) = pair
+        t_by = {}
+        for (_t, _a, o, d) in self.eps.get(t, ()):
+            t_by.setdefault(o, []).append(d)
+        return [(None, (d1, d2)) for (_s, _a, o, d1) in self.eps.get(s, ())
+                for d2 in t_by.get(o, ())]
 
     def same_targets(self, p, q, a):
         out = set()
@@ -168,6 +173,7 @@ def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
     init = idx(parser.initial, parser.initial, 0)
     trans = []
     finals = set()
+    # its own loop, not `explore`: a callback per state costs it 6-10%
     seen = {(parser.initial, parser.initial, 0)}
     stack = [(parser.initial, parser.initial, 0)]
     while stack:
@@ -318,8 +324,8 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
             if df.accepts(""):
                 return dom, empty
             good = determinize(_star_pos_nfa(uf, alpha), alpha)
-            bad = determinize(_ambiguous_star_nfa(df, alpha), alpha)
-            return dom, minimize_dfa(dfa_difference(good, bad))
+            return dom, minimize_dfa(dfa_difference(good,
+                                                    _ambiguous_star_dfa(df)))
         (dg, ug) = pair(h.right)
         if h.kind == SUM:
             return (minimize_dfa(dfa_union(df, dg)),
@@ -330,9 +336,9 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
                     minimize_dfa(dfa_intersect(uf, ug)))
         if h.kind in (CAUCHY, CAUCHY_REV):
             good = determinize(_cat_pair_nfa(uf, ug, alpha), alpha)
-            bad = determinize(_ambiguous_split_nfa(df, dg, alpha), alpha)
             return (of_nfa(_cat_pair_nfa(df, dg, alpha)),
-                    minimize_dfa(dfa_difference(good, bad)))
+                    minimize_dfa(dfa_difference(
+                        good, _ambiguous_split_dfa(df, dg))))
         raise ValueError(h.kind)
 
     return pair(h)
@@ -349,44 +355,29 @@ def _cat_pair_nfa(d1: Dfa, d2: Dfa, alpha) -> Nfa:
                frozenset(f + off for f in d2.finals), trans, alpha)
 
 
-def _ambiguous_split_nfa(df: Dfa, dg: Dfa, alpha) -> Nfa:
-    """Words u v w with v nonempty, u and uv in dom f, vw and w in dom g."""
-    # phase 1: track df on u; phase 2: df on uv and dg on vw, v nonempty;
-    # phase 3: dg on vw and dg on w
-    n1 = df.n_states
-    n2 = df.n_states * dg.n_states
-    n3 = dg.n_states * dg.n_states
+def _ambiguous_split_dfa(df: Dfa, dg: Dfa) -> Dfa:
+    """Words u v w with v nonempty, u and uv in L(df), vw and w in L(dg).
 
-    def p1(s):
-        return s
+    A state holds df's state on the word read so far; for each split
+    after a prefix u in L(df), the pair of df's state on uv and dg's on v,
+    v the letters since; and for each split after such a uv in L(df), the
+    pair of dg's states on vw and on w.  A split after u opens where df's
+    state is final, and its pair joins the others at the next letter, so
+    v is nonempty."""
+    (f, ff, g, gf, g0) = (df.delta, df.finals, dg.delta, dg.finals,
+                          dg.initial)
 
-    def p2(s, t, moved):
-        return n1 + (s * dg.n_states + t) * 2 + moved
+    def step(state, a):
+        (s, uv, vw) = state
+        opened = uv | {(s, g0)} if s in ff else uv
+        uv = frozenset((f[(x, a)], g[(y, a)]) for (x, y) in opened)
+        vw = frozenset([(g[(y, a)], g[(z, a)]) for (y, z) in vw]
+                       + [(y, g0) for (x, y) in uv if x in ff])
+        return (f[(s, a)], uv, vw)
 
-    def p3(t, u):
-        return n1 + 2 * n2 + t * dg.n_states + u
-
-    trans = []
-    for ((s, a), t) in df.delta.items():
-        trans.append((p1(s), a, p1(t)))
-    for f in df.finals:
-        trans.append((p1(f), None, p2(f, dg.initial, 0)))
-    for s in range(df.n_states):
-        for t in range(dg.n_states):
-            for moved in (0, 1):
-                for a in alpha:
-                    trans.append((p2(s, t, moved), a,
-                                  p2(df.delta[(s, a)], dg.delta[(t, a)], 1)))
-    for s in df.finals:
-        for t in range(dg.n_states):
-            trans.append((p2(s, t, 1), None, p3(t, dg.initial)))
-    for t in range(dg.n_states):
-        for u in range(dg.n_states):
-            for a in alpha:
-                trans.append((p3(t, u), a,
-                              p3(dg.delta[(t, a)], dg.delta[(u, a)])))
-    finals = frozenset(p3(t, u) for t in dg.finals for u in dg.finals)
-    return Nfa(n1 + 2 * n2 + n3, p1(df.initial), finals, trans, alpha)
+    return _dfa((df.initial, frozenset(), frozenset()), step, df.alphabet,
+                lambda state: any(y in gf and z in gf
+                                  for (y, z) in state[2]))
 
 
 def _star_pos_nfa(d: Dfa, alpha) -> Nfa:
@@ -398,37 +389,29 @@ def _star_pos_nfa(d: Dfa, alpha) -> Nfa:
     return Nfa(d.n_states + 1, 0, finals, trans, alpha)
 
 
-def _ambiguous_star_nfa(d: Dfa, alpha) -> Nfa:
-    """Words with two distinct factorizations into dom-f factors.
+def _ambiguous_star_dfa(d: Dfa) -> Dfa:
+    """Words with two distinct factorizations into factors of L(d).
 
-    Two trackers guess restart points; the boundary decision is folded into
-    the letter transition so a one-sided restart marks a genuine divergence.
-    Only sound when f's domain excludes the empty word, which the caller
-    ensures."""
-    n = d.n_states
-
-    def idx(p, q, bit):
-        return (p * n + q) * 2 + bit
+    Subsets of triples (p, q, bit): two trackers guess restart points, the
+    boundary decision folded into the letter move, so that a one-sided
+    restart marks a divergence and sets the bit.  Only sound when L(d)
+    excludes the empty word, which the caller ensures."""
+    (delta, finals, q0) = (d.delta, d.finals, d.initial)
 
     def moves(s, a):
-        out = [(d.delta[(s, a)], 0)]
-        if s in d.finals:
-            out.append((d.delta[(d.initial, a)], 1))
+        out = [(delta[(s, a)], 0)]
+        if s in finals:
+            out.append((delta[(q0, a)], 1))
         return out
 
-    trans = []
-    for p in range(n):
-        for q in range(n):
-            for bit in (0, 1):
-                src = idx(p, q, bit)
-                for a in alpha:
-                    for (p2, rp) in moves(p, a):
-                        for (q2, rq) in moves(q, a):
-                            nbit = 1 if (bit or rp != rq) else 0
-                            trans.append((src, a, idx(p2, q2, nbit)))
-    finals = frozenset(idx(p, q, 1)
-                       for p in d.finals for q in d.finals)
-    return Nfa(2 * n * n, idx(d.initial, d.initial, 0), finals, trans, alpha)
+    def step(states, a):
+        return frozenset((p2, q2, bit | (rp != rq)) for (p, q, bit) in states
+                         for (p2, rp) in moves(p, a)
+                         for (q2, rq) in moves(q, a))
+
+    return _dfa(frozenset({(q0, q0, 0)}), step, d.alphabet,
+                lambda states: any(bit and p in finals and q in finals
+                                   for (p, q, bit) in states))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +489,8 @@ def check_size_bounds(h: LabeledExpr, sigma: str,
     the report to failing."""
     hp = unlabel(h)
     sz, w = size(hp), width(hp)
-    if pipeline is None:
-        parser = build_parser(h, sigma)
-        evaluator = build_evaluator(h, sigma)
-        checker = build_functionality_checker(parser, sigma)
-    else:
-        parser, evaluator, checker = (pipeline.parser, pipeline.evaluator,
-                                      pipeline.checker)
+    pl = pipeline or build_pipeline(h, sigma)
+    (parser, evaluator, checker) = (pl.parser, pl.evaluator, pl.checker)
     p_bound = sz ** w if uses_hadamard_or_kstar(hp) else sz
     t_bound = 5 * sz * w if uses_kstar(hp) else 5 * sz
     rep = BoundReport(sz, w, parser.n_states, evaluator.n_states,

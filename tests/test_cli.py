@@ -9,8 +9,9 @@ from rtec.cli import main
 import pytest
 
 from rtec.expr import MAX_NESTING, MAX_TREE_DEPTH
+from rtec.machines import enumerate_outputs
 
-from conftest import deep_texts, nested_factors
+from conftest import SIGMA, deep_texts, mk, nested_factors, words_upto
 
 
 def test_eval_unambiguous(capsys):
@@ -81,6 +82,23 @@ def test_compile_writes_dumps(tmp_path, capsys):
     assert (tmp_path / "out" / "acceptor.json").exists()
 
 
+def test_compile_write_failure_exit_code(tmp_path, capsys):
+    args = ["compile", "--expr", '(a -> "c")', "--sigma", "ab",
+            "--gamma", "c", "--out-dir"]
+    # the output directory cannot be made under a regular file
+    (tmp_path / "file").write_text("")
+    assert main(args + [str(tmp_path / "file" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot make directory" in err
+    assert len(err.strip().splitlines()) == 1
+    # nor can a file be written where a directory stands
+    (tmp_path / "out" / "checker.json").mkdir(parents=True)
+    assert main(args + [str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "checker.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_compile_files_do_not_depend_on_the_hash_seed(tmp_path):
     import rtec
     src = str(Path(rtec.__file__).resolve().parents[1])
@@ -109,6 +127,33 @@ def test_check_passes(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_check_runs_each_parsing_once(capsys, monkeypatch):
+    # "a" has two parsings and "b" one, its only one
+    text = '((a -> "c") + (a -> "d")) + (b -> "e")'
+    pl = pipeline.build_pipeline(mk(text), SIGMA)
+    words = words_upto(3)
+    parsings = 0
+    for w in words:
+        res = enumerate_outputs(pl.parser, w)
+        assert not res.truncated
+        parsings += len(res.outputs)
+    unique = sum(pl.uniformizer.unique(w) is not None for w in words)
+    assert (parsings, unique) == (3, 1)
+    runs = {"cli": 0, "pipeline": 0}
+    for (name, mod) in (("cli", cli), ("pipeline", pipeline)):
+        def counting(*args, name=name, real=mod.run_two_way):
+            runs[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, "run_two_way", counting)
+    rc = main(["check", "--expr", text, "--sigma", SIGMA, "--gamma", "cde",
+               "--max-len", "3"])
+    assert rc == 0, capsys.readouterr().out
+    # each parsing once for the check, and the unique one once more for
+    # the unambiguous value
+    assert runs == {"cli": parsings, "pipeline": unique}
+
+
 def test_dump_dot(tmp_path, capsys):
     rc = main(["dump", "--expr", "dup{#}", "--sigma", "ab", "--gamma", "ab#",
                "--machine", "evaluator", "--format", "dot",
@@ -118,6 +163,15 @@ def test_dump_dot(tmp_path, capsys):
     assert "digraph" in text
     # five nodes for the duplicate evaluator
     assert sum(1 for line in text.splitlines() if "circle" in line) == 5
+
+
+def test_dump_write_failure_exit_code(tmp_path, capsys):
+    rc = main(["dump", "--expr", "dup{#}", "--sigma", "ab", "--gamma", "ab#",
+               "--out", str(tmp_path / "absent" / "m.dot")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_dump_unknown_machine(capsys, monkeypatch):

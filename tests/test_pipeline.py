@@ -1,12 +1,15 @@
+import json
 import random
 from datetime import timedelta
 
 from hypothesis import assume, given, settings, strategies as st
 
 from rtec import corpus
-from rtec.expr import label_occurrences, pretty
-from rtec.machines import (MoveIndex, enumerate_outputs, minimize_dfa,
-                           nfa_accepts, run_two_way)
+from rtec.expr import BASE, children, label_occurrences, pretty
+from rtec.glushkov import glushkov
+from rtec.machines import (MoveIndex, determinize, enumerate_outputs,
+                           minimize_dfa, nfa_accepts, run_two_way,
+                           to_json_dict)
 from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
 from rtec import machines, pipeline
@@ -14,7 +17,7 @@ from rtec.pipeline import (MacroStepTable, build_pipeline,
                            check_size_bounds, domain_dfas,
                            uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
-from rtec.symbols import render_word
+from rtec.symbols import letter, render_word
 
 from conftest import LONG_CASES, SIGMA, mk, words_upto
 
@@ -285,6 +288,60 @@ def test_domain_dfas_one_pass(monkeypatch):
     # a^i (a+b)* is nested in a^j (a+b)* for j < i: only "a" followed by b
     # has one parsing
     assert ud.accepts("ab") and not ud.accepts("aab")
+
+
+def _base_regex_dfas(count):
+    # distinct minimal DFAs of the corpus's base regexes, in corpus order
+    alpha = frozenset(letter(c) for c in SIGMA)
+    found = {}
+    todo = list(reversed(generate(200)))
+    while todo and len(found) < count:
+        e = todo.pop()
+        if e.kind == BASE:
+            d = minimize_dfa(determinize(glushkov(e.regex, SIGMA), alpha))
+            found.setdefault(json.dumps(to_json_dict(d)), d)
+        todo.extend(reversed(list(children(e))))
+    return list(found.values())
+
+
+def test_ambiguity_automata_against_splits():
+    dfas = _base_regex_dfas(20)
+    assert len(dfas) == 20
+    words = words_upto(7)
+    # ins[i][w]: the cut points of w with w[:cut] in L(dfas[i]);
+    # outs[i][w]: those with w[cut:] in it
+    ins = [{w: {j for j in range(len(w) + 1) if d.accepts(w[:j])}
+            for w in words} for d in dfas]
+    outs = [{w: {j for j in range(len(w) + 1) if d.accepts(w[j:])}
+             for w in words} for d in dfas]
+    (starred, found) = (0, 0)
+    for (i, d) in enumerate(dfas):
+        if d.accepts(""):
+            continue
+        starred += 1
+        amb = pipeline._ambiguous_star_dfa(d)
+        for w in words:
+            # factorizations of each prefix into nonempty factors, up to 2
+            ways = [1]
+            for j in range(1, len(w) + 1):
+                ways.append(min(2, sum(ways[k] for k in range(j)
+                                       if d.accepts(w[k:j]))))
+            assert amb.accepts(w) == (ways[-1] == 2), (i, w)
+            found += ways[-1] == 2
+    # both answers occur
+    assert starred >= 10 and found
+    found = 0
+    for (i, df) in enumerate(dfas):
+        for (k, dg) in enumerate(dfas):
+            amb = pipeline._ambiguous_split_dfa(df, dg)
+            for w in words:
+                # u = w[:x], v = w[x:y] nonempty, w = w[y:]
+                want = any(x in ins[i][w] and y in ins[i][w]
+                           and x in outs[k][w] and y in outs[k][w]
+                           for y in range(len(w) + 1) for x in range(y))
+                assert amb.accepts(w) == want, (i, k, w)
+                found += want
+    assert found
 
 
 def test_bound_report():
