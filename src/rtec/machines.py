@@ -10,7 +10,8 @@ whole tape, right endmarker included, has been consumed.
 On a tape of at least `SWEEP_MIN_TAPE` symbols, a run takes each sweep, a
 self-loop that carries the head across a block in one state, as one regular
 expression search and one `str.translate` over the coded tape, so it costs
-Python steps per change of state rather than per symbol.
+Python steps per change of state rather than per symbol.  A pipeline's walk
+hands its parsings over coded already, so the run hashes no symbol.
 
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
@@ -31,9 +32,10 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
-from .symbols import LEFT_END, RIGHT_END, Sym, letter, letters, render
+from .symbols import LEFT_END, RIGHT_END, Coded, chars, code, letters, render
 
 
 class MachineError(ValueError):
@@ -382,13 +384,32 @@ class OneWayTransducer:
 
     @cached_property
     def walker(self) -> SegmentWalk:
-        """The memoized walk over the index, built on first use and kept."""
-        return SegmentWalk(self)
+        """The memoized walk over the index, in the code of the output
+        symbols, built on first use and kept; a pipeline sets its own."""
+        return SegmentWalk(self, code({s for tr in self.transitions
+                                       for s in tr[2]}))
+
+
+class _Codes(dict):
+    """The coded string of each output tuple: of each one-symbol tuple from
+    the start, of any other from its first lookup."""
+
+    def __init__(self, code: dict):
+        super().__init__(((s,), c) for (s, c) in code.items())
+        self.code = code
+
+    def __missing__(self, out):
+        v = self[out] = "".join(map(self.code.__getitem__, out))
+        return v
 
 
 class SegmentWalk:
     """All outputs of a one-way transducer on a word, or its only one, from
     one forward walk over segments memoized across words.
+
+    Outputs are strings in the `code` of the output symbols the walker is
+    given before its first use; `decode` gives their symbols.  Segments
+    group moves by coded output, whose hash Python keeps, not by tuple.
 
     A backward pass gives the co-reachable states per position: each set
     depends only on the next one and the letter between, so the sets are
@@ -399,12 +420,13 @@ class SegmentWalk:
     then the letter move into the co-reach set after t, or the stop after
     the last letter.  A segment depends only on its entry node, that next
     set and the letter, and is kept under them as one flat tuple (chunk,
-    node, chunk, node, ...) of its branches' outputs and next nodes (None
-    for a stop), plus a last True if it has a live epsilon cycle.  Chunks
-    and nodes are interned, so keys and values share them.  As each move
-    emits one symbol, as a parser's do, distinct branches end in distinct
-    outputs.  The walk for the only output keeps () for a segment once it
-    shows a second branch or a cycle; the walk for all works it out anew.
+    node, chunk, node, ...) of its branches' coded outputs and next nodes
+    (None for a stop), plus a last True if it has a live epsilon cycle.
+    Nodes are interned, so keys and values share them; keys hold letters
+    as characters.  As each move emits one symbol, as a parser's do,
+    distinct branches end in distinct outputs.  The walk for the only
+    output keeps () for a segment once it shows a second branch or a
+    cycle; the walk for all works it out anew.
 
     A path of more spontaneous moves than there are states with such moves
     repeats a state on a live, pumpable cycle.  Only then is the segment
@@ -415,18 +437,27 @@ class SegmentWalk:
     COREACH_MEMO_STATES states or there are more segments than that.
     """
 
-    def __init__(self, t: OneWayTransducer):
+    def __init__(self, t: OneWayTransducer, code: dict):
         self.index = t.index
         self.finals = t.finals
         self.end = frozenset(self.index.coclosure(t.finals))
         self.start = frozenset((t.initial,))
-        # the transducer's own letter symbols, which memo keys meet again
+        # the transducer's own letter symbols, by character
         self.letters = {a[1]: a for a in t.input_alphabet}
+        self.code = code
+        self.symbols = dict(zip(code.values(), code))
+        self.coded = _Codes(code)
         self.coreach_sets = {}
         self.forward_sets = {}
         self.held = 0
         self.segments = {}
         self.interned = {}
+
+    def decode(self, word) -> tuple:
+        """The symbols of a coded output."""
+        if len(word) > 1:  # then itemgetter gives a tuple, and fast
+            return itemgetter(*word)(self.symbols)
+        return tuple(map(self.symbols.__getitem__, word))
 
     def _hold(self, states):
         self.held += len(states)
@@ -439,17 +470,17 @@ class SegmentWalk:
             memo.clear()
         self.held = 0
 
-    def coreach(self, syms) -> list:
+    def coreach(self, word) -> list:
         """Co-reachable states per position, through the kept memo."""
-        index, memo = self.index, self.coreach_sets
-        co = [None] * (len(syms) + 1)
+        (index, memo, letters) = (self.index, self.coreach_sets, self.letters)
+        co = [None] * (len(word) + 1)
         cur = co[-1] = self.end
-        for t in range(len(syms) - 1, -1, -1):
-            key = (cur, syms[t])
+        for t in range(len(word) - 1, -1, -1):
+            key = (cur, word[t])
             prev = memo.get(key)
             if prev is None:
-                prev = memo[key] = frozenset(
-                    index.coclosure(index.back_step(cur, syms[t])))
+                prev = memo[key] = frozenset(index.coclosure(
+                    index.back_step(cur, letters.get(word[t]))))
                 self._hold(prev)
             co[t] = cur = prev
         return co
@@ -461,47 +492,43 @@ class SegmentWalk:
         index, memo = self.index, self.forward_sets
         cyclic = index.eps_cyclic
         cur = frozenset(index.closure(self.start)) if cyclic else frozenset()
-        for a in map(letter, word) if isinstance(word, str) else word:
+        for a in chars(word):
             if not cur or not cyclic.isdisjoint(cur):
                 break
             nxt = memo.get((cur, a))
             if nxt is None:
                 nxt = memo[(cur, a)] = frozenset(
-                    index.closure(index.step(cur, a)))
+                    index.closure(index.step(cur, self.letters.get(a))))
                 self._hold(nxt)
             cur = nxt
         return not cyclic.isdisjoint(cur)
 
     def outputs(self, word, one=False) -> list:
-        """The outputs on `word`, a str or a tuple of symbols.  With `one`,
-        the word's only output, or none when it has none or more than one:
-        the walk refuses at the first segment with other than one branch or
-        with a live epsilon cycle.  That is exact, because from a live node
-        without such a cycle every branch ends in an output."""
-        if isinstance(word, str):
-            syms = tuple(map(self.letters.get, word))
-            if None in syms:
-                syms = letters(word)
-        else:
-            syms = tuple(word)
-        co = self.coreach(syms)
+        """The outputs on `word`, a str or a tuple of symbols, each as a
+        coded string.  With `one`, the word's only output, or none when
+        it has none or more than one: the walk refuses at the first segment
+        with other than one branch or with a live epsilon cycle.  That is
+        exact, because from a live node without such a cycle every branch
+        ends in an output."""
+        word = chars(word)
+        co = self.coreach(word)
         if self.start.isdisjoint(co[0]):
             return []
         # past the last letter the walk can only stop
         co.append(None)
-        syms += (None,)
+        word = (*word, None)
         seg, found, out = self.segments, [], []
         # pending branches: (position, node, prefix length, own output)
         (t, node, stack) = (0, self.start, [])
         while True:
             # a stop, the only branch with no next node, ends the word
-            for t in range(t, len(syms)):
-                key = (node, co[t + 1], syms[t])
+            for t in range(t, len(word)):
+                key = (node, co[t + 1], word[t])
                 step = seg.get(key)
                 # () is a segment known only to refuse a unique walk
                 if step is None or not (step or one):
                     step = seg[key] = self._segment(node, co[t], co[t + 1],
-                                                    syms[t], one)
+                                                    word[t], one)
                     if len(seg) > COREACH_MEMO_STATES:
                         self._forget()
                 if len(step) != 2:
@@ -512,28 +539,29 @@ class SegmentWalk:
                               in zip(step[0::2], step[1::2])]
                     break
                 (chunk, node) = step
-                out += chunk
+                out.append(chunk)
             else:
-                found.append(tuple(out))
+                found.append("".join(out))
             if not stack:
                 return found
             (t, node, depth, chunk) = stack.pop()
             del out[depth:]
-            out += chunk
+            out.append(chunk)
 
     def _segment(self, node, here, there, a, one=False, runs=False):
         """The segment from `node` inside the co-reach set `here` into
         `there` on `a`, or to the stop when `a` is None; with `one`, () at
         a second branch or a cycle.  The memo key leaves out `here`, the
         co-reach step of `there` on `a` (the end set when `a` is None)."""
-        eps, letter = self.index.eps, self.index.letter
+        (eps, letter) = (self.index.eps, self.index.letter)
+        (coded, sym) = (self.coded, self.letters.get(a))
         interned = self.interned.setdefault
-        bound = len(eps)
+        bound = len(self.index.eps)
         # with runs, a configuration is (state, states of its epsilon run)
         entry = frozenset((s, frozenset((s,))) for s in node) if runs \
             else node
         value = []
-        todo = [((), entry, 0)]
+        todo = [("", entry, 0)]
         while todo:
             (chunk, node, k) = todo.pop()
             # a node with one child hands over to it in place
@@ -544,28 +572,28 @@ class SegmentWalk:
                 states = {s for (s, _run) in node} if runs else node
                 if a is None:
                     if not self.finals.isdisjoint(states):
-                        value += (interned(chunk, chunk), None)
+                        value += (chunk, None)
                 else:
                     moved = {}
                     for s in states:
-                        for (_s, _a, o, d) in letter.get((s, a), ()):
+                        for (_s, _a, o, d) in letter.get((s, sym), ()):
                             if d in there:
-                                moved.setdefault(o, set()).add(d)
+                                moved.setdefault(coded[o], set()).add(d)
                     for (o, m) in moved.items():
-                        (c, m) = (chunk + o, frozenset(m))
-                        value += (interned(c, c), interned(m, m))
+                        m = frozenset(m)
+                        value += (chunk + o, interned(m, m))
                 groups = {}
                 if runs:
                     for (s, run) in node:
                         for (_s, _a, o, d) in eps.get(s, ()):
                             if d in here and d not in run:
-                                groups.setdefault(o, set()).add(
+                                groups.setdefault(coded[o], set()).add(
                                     (d, run | {d}))
                 else:
                     for s in node:
                         for (_s, _a, o, d) in eps.get(s, ()):
                             if d in here:
-                                groups.setdefault(o, set()).add(d)
+                                groups.setdefault(coded[o], set()).add(d)
                 if one and len(value) + 2 * len(groups) > 2:
                     return ()
                 if len(groups) != 1:
@@ -590,7 +618,8 @@ def enumerate_outputs(t: OneWayTransducer, word) -> EnumResult:
     could be pumped, is reachable; the outputs are then those of the runs
     cut where an epsilon run would revisit a state."""
     walker = t.walker
-    return EnumResult(set(walker.outputs(word)), walker.truncated(word))
+    return EnumResult(set(map(walker.decode, walker.outputs(word))),
+                      walker.truncated(word))
 
 
 # ---------------------------------------------------------------------------
@@ -607,44 +636,51 @@ class TwoWayTransducer:
     delta: dict
     input_alphabet: frozenset
 
-    def successors(self, state: int, sym: Sym):
-        return self.delta.get((state, sym), ())
+    @cached_property
+    def code(self) -> dict:
+        """Each input symbol's one-character code (`symbols.code`); `table`
+        adds codes after these for any other symbol delta reads."""
+        return code(self.input_alphabet)
 
     @cached_property
     def table(self) -> tuple:
-        """(symbol bases, moves): the single moves of delta keyed by
-        base + state, where a symbol's base is its id times n_states, each
-        as (dst, out, sign of dst), which is how far the read position
-        moves.  Symbols with no single move get no base.  Built on the
-        first run and kept, like `sweeps` on the first long tape; delta
-        must not change after that."""
-        k = self.n_states
+        """(bases, moves, multi): the symbol of code chr(i + 1) and the code
+        have the base i * n_states; `moves` holds the single moves of delta
+        keyed by base + state, each as (dst, out, sign of dst), which is how
+        far the read position moves, and `multi` the symbol of each key with
+        more moves.  Built on the first run and kept, like `sweeps` on the
+        first long tape; delta must not change after that."""
+        (k, codes) = (self.n_states, self.code)
         bases = {}
-        moves = {}
+        for (sym, c) in codes.items():
+            bases[sym] = bases[c] = (ord(c) - 1) * k
+        moves, multi = {}, {}
         shared = {}  # many moves share one entry, such as a scan's loop
         for (state, sym), ms in self.delta.items():
+            b = bases.get(sym)
+            if b is None:
+                codes[sym] = c = chr(len(codes) + 1)
+                b = bases[sym] = bases[c] = (len(codes) - 1) * k
             if len(ms) == 1:
                 (dst, out) = ms[0]
-                b = bases.setdefault(sym, len(bases) * k)
                 move = (dst, out, self.signs[dst])
                 moves[b + state] = shared.setdefault(move, move)
-        return bases, moves
+            elif ms:
+                multi[b + state] = sym
+        return bases, moves, multi
 
     @cached_property
     def sweeps(self) -> tuple:
-        """(codes, steps, loops): what `run_two_way` reads in place of
-        `table` on a long tape, built on the first one and kept.  `codes`
-        maps each symbol of base id * n_states to the one-character code
-        chr(id + 1); chr(0) is left for the symbols with no single move and
-        for off the tape.  `steps` is the moves of `table` without the
-        self-loops, and `loops` maps each self-loop's key to (search, outs,
-        plain) of its state: `search` is the bound search method of a
-        compiled `[^...]` class of the codes the state does not loop on,
-        `outs` is the `str.translate` table from each loop code to its
-        output (None for an empty one), or None when no loop of the state
-        emits anything, and `plain` holds the state's loops as `table`
-        does."""
-        bases, moves = self.table
+        """(steps, loops): what `run_two_way` reads in place of the moves
+        of `table` on a long tape, built on the first one and kept.  `steps`
+        is those moves without the self-loops, and `loops` maps each
+        self-loop's key to (search, outs, plain) of its state: `search` is
+        the bound search method of a compiled `[^...]` class of the codes
+        the state does not loop on, `outs` is the `str.translate` table
+        from each loop code to its output (None for an empty one), or None
+        when no loop of the state emits anything, and `plain` holds the
+        state's loops as `table` does."""
+        (_bases, moves, _multi) = self.table
         k = self.n_states
         steps, outs, plain = {}, {}, {}
         for key, move in moves.items():
@@ -663,8 +699,7 @@ class TwoWayTransducer:
                      tr if any(tr.values()) else None, plain[state])
             for key in plain[state]:
                 loops[key] = sweep
-        return ({sym: chr(b // k + 1) for sym, b in bases.items()}, steps,
-                loops)
+        return steps, loops
 
 
 class Configuration(NamedTuple):
@@ -710,39 +745,51 @@ SHORT_SWEEP_STREAK = 8
 
 def run_two_way(t: TwoWayTransducer, word,
                 want_trace: bool = False) -> TwoWayResult:
-    """Simulate the deterministic machine t on |- word -|.
+    """Simulate the deterministic machine t on |- word -|, where `word` is
+    a str of letters, a tuple of symbols, or a `Coded` string in `t.code`.
 
-    Steps by lookup in `t.table`.  On a tape of `SWEEP_MIN_TAPE` symbols or
-    more, a self-loop move starts a sweep instead: one search of the coded
-    tape (reversed for a - state) finds the first symbol the state does not
-    loop on, the head jumps there, and one translate of the passed codes
-    gives the sweep's output, so a run costs Python steps per change of
-    state, not per symbol.  A state whose sweeps come out shorter than
-    `SHORT_SWEEP_LEN` `SHORT_SWEEP_STREAK` times in a row takes its loops
-    step by step for the rest of the run.  A run longer than the number of
-    configurations, n_states * (|w| + 3), counting every step a sweep
-    passes, has repeated one and loops forever, so it stops there as
-    "loop"; a configuration with more than one move raises MachineError.
-    Acceptance needs a final state with the whole tape, right endmarker
-    included, consumed.  Status, output and trace are those of the
-    step-by-step run.
+    A coded word is the tape as it is: the key bases come off its codes,
+    and a long one sweeps on it, with no symbol hashed; a long tape of
+    symbols is coded first.  Steps by lookup in `t.table`.  On a tape of
+    `SWEEP_MIN_TAPE` symbols or more, a self-loop move starts a sweep
+    instead: one search of the coded tape (reversed for a - state) finds
+    the first symbol the state does not loop on, the head jumps there, and
+    one translate of the passed codes gives the sweep's output, so a run
+    costs Python steps per change of state, not per symbol.  A state whose
+    sweeps come out shorter than `SHORT_SWEEP_LEN` `SHORT_SWEEP_STREAK`
+    times in a row takes its loops step by step for the rest of the run.
+    A run longer than the number of configurations, n_states * (|w| + 3),
+    counting every step a sweep passes, has repeated one and loops
+    forever, so it stops there as "loop"; a configuration with more than
+    one move raises MachineError.  Acceptance needs a final state with the
+    whole tape, right endmarker included, consumed.  Status, output and
+    trace are those of the step-by-step run.
     """
-    syms = letters(word) if isinstance(word, str) else tuple(word)
-    tape = (LEFT_END,) + syms + (RIGHT_END,)
-    n = len(tape)
-    bases, table = t.table
+    (bases, table, multi) = t.table
     k = t.n_states
-    # key base per read position; a symbol with no single move has base -k,
-    # as has the extra last entry, which serves both off-tape positions, -1
-    # and n, so all of these give negative keys, which the table never holds
+    if isinstance(word, Coded):
+        # chr(0), a code of no symbol, for an endmarker outside the alphabet
+        tape = "%s%s%s" % (t.code.get(LEFT_END, "\0"), word,
+                           t.code.get(RIGHT_END, "\0"))
+    else:
+        syms = letters(word) if isinstance(word, str) else tuple(word)
+        tape = (LEFT_END,) + syms + (RIGHT_END,)
+        if len(tape) >= SWEEP_MIN_TAPE:
+            # coded first, so that each symbol is hashed once
+            tape = "".join(map(t.code.get, tape, repeat("\0")))
+    n = len(tape)
+    # key base per read position; a symbol outside the alphabet has base
+    # -k, as has the extra last entry, which serves both off-tape
+    # positions, -1 and n, so all of these give negative keys, which the
+    # table never holds
     base = list(map(bases.get, tape, repeat(-k)))
     base.append(-k)
     loops = None
     if n >= SWEEP_MIN_TAPE:
-        (codes, table, loops) = t.sweeps
+        (table, loops) = t.sweeps
         # tape position p is index p + 1 of fwd and n - p of bwd; the
         # stop code chr(0) sits past each end
-        fwd = "\0%s\0" % "".join(map(codes.get, tape, repeat("\0")))
+        fwd = "\0%s\0" % tape
         bwd = fwd[::-1]
         shorts = {}  # per state, how many sweeps in a row came out short
     finals, signs = t.finals, t.signs
@@ -789,12 +836,11 @@ def run_two_way(t: TwoWayTransducer, word,
                 if it + 1 + skipped >= bound:
                     break
                 continue
-            if 0 <= pos < n:
-                moves = t.successors(state, tape[pos])
-                if len(moves) > 1:
-                    raise MachineError("state %d has %d moves on %s"
-                                       % (state, len(moves),
-                                          render(tape[pos])))
+            sym = multi.get(base[pos] + state)
+            if sym is not None:
+                raise MachineError("state %d has %d moves on %s"
+                                   % (state, len(t.delta[(state, sym)]),
+                                      render(sym)))
             return TwoWayResult("reject", None, trace)
         (state, o, d) = move
         pos += d
@@ -820,10 +866,7 @@ def audit_trace(t: TwoWayTransducer, word, trace) -> bool:
         pos = _read_position(signs[state], boundary)
         if pos < 0 or pos >= len(tape):
             return False
-        for (d, _o) in delta.get((state, tape[pos]), ()):
-            if d == nstate:
-                break
-        else:
+        if nstate not in [d for (d, _o) in delta.get((state, tape[pos]), ())]:
             return False
         if signs[state] > 0:
             want = boundary + 1 if signs[nstate] > 0 else boundary
@@ -837,22 +880,12 @@ def audit_trace(t: TwoWayTransducer, word, trace) -> bool:
 # ---------------------------------------------------------------------------
 # Structural predicates
 
-def _two_way_edges(m: TwoWayTransducer):
-    for (src, sym), moves in m.delta.items():
-        for (dst, _o) in moves:
-            yield (src, sym, dst)
-
-
-def _one_way_edges(m: OneWayTransducer):
-    for (src, sym, _o, dst) in m.transitions:
-        yield (src, sym, dst)
-
-
 def _edges(m):
     if isinstance(m, TwoWayTransducer):
-        return _two_way_edges(m)
+        return ((src, sym, dst) for (src, sym), moves in m.delta.items()
+                for (dst, _o) in moves)
     if isinstance(m, OneWayTransducer):
-        return _one_way_edges(m)
+        return ((src, sym, dst) for (src, sym, _o, dst) in m.transitions)
     if isinstance(m, Nfa):
         return iter(m.transitions)
     if isinstance(m, Dfa):

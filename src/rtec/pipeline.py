@@ -39,13 +39,13 @@ from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, size, unlabel,
                    uses_hadamard_or_kstar, uses_kstar, width)
 from .glushkov import glushkov
-from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer, _dfa,
-                       complement_dfa, determinize, dfa_difference,
-                       dfa_intersect, dfa_union, enumerate_outputs, explore,
+from .machines import (Dfa, Nfa, OneWayTransducer, SegmentWalk,
+                       TwoWayTransducer, _dfa, complement_dfa, determinize,
+                       dfa_difference, dfa_intersect, dfa_union, explore,
                        minimize_dfa, run_two_way)
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
-from .symbols import letter, letters
+from .symbols import Coded, chars, letter, letters
 
 # ---------------------------------------------------------------------------
 # Macro steps of the parser: one letter consumed after parenthesis moves
@@ -82,10 +82,7 @@ class MacroStepTable:
         key = (p, q)
         r = self._sync.get(key)
         if r is None:
-            # the checker lists its moves in this set's iteration order,
-            # which depends on how it is built: grown pair by pair, copied
-            pairs = set(explore(key, self._sync_moves)[0])
-            r = self._sync[key] = frozenset(pairs)
+            r = self._sync[key] = frozenset(explore(key, self._sync_moves)[0])
         return r
 
     def _sync_moves(self, pair):
@@ -195,6 +192,7 @@ def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
                 full = table.reach_letter(p, a)
                 full2 = table.reach_letter(q, a)
                 moves = [((d1, d2, 1), a) for d1 in full for d2 in full2]
+            moves.sort()  # so that the listing does not follow set layout
             for (st, x) in moves:
                 trans.append((src, x, idx(*st)))
                 if st not in seen:
@@ -235,13 +233,13 @@ class UniformParser:
         """The only parsing of `word`, or None when it has none or more
         than one."""
         found = self.walker.outputs(word, True)
-        return found[0] if found else None
+        return self.walker.decode(found[0]) if found else None
 
     def parse(self, word):
         """The selected parsing of `word`, or None outside the domain."""
         syms = letters(word) if isinstance(word, str) else tuple(word)
         n = len(syms)
-        co = self.walker.coreach(syms)
+        co = self.walker.coreach(chars(word))
         if self.parser.initial not in co[0]:
             return None
 
@@ -439,10 +437,10 @@ class Pipeline:
         return build_unambiguity_acceptor(self.checker)
 
     def run_unambiguous(self, word: str):
-        parsed = self.uniformizer.unique(word)
-        if parsed is None:
+        found = self.uniformizer.walker.outputs(word, True)
+        if not found:
             return None
-        res = run_two_way(self.evaluator, parsed)
+        res = run_two_way(self.evaluator, Coded(found[0]))
         if res.status != "accept":
             raise RuntimeError("evaluator %s on selected parsing of %r"
                                % (res.status, word))
@@ -451,15 +449,19 @@ class Pipeline:
     def run_relational(self, word: str):
         """(values, truncated): the outputs of the evaluator's accepting
         runs on the word's parsings, and whether these were cut off."""
-        res = enumerate_outputs(self.parser, word)
-        runs = [run_two_way(self.evaluator, al) for al in res.outputs]
-        return {r.output for r in runs if r.status == "accept"}, res.truncated
+        walker = self.parser.walker
+        runs = [run_two_way(self.evaluator, Coded(al))
+                for al in walker.outputs(word)]
+        return ({r.output for r in runs if r.status == "accept"},
+                walker.truncated(word))
 
 
 def build_pipeline(h: LabeledExpr, sigma: str) -> Pipeline:
     parser = build_parser(h, sigma)
-    return Pipeline(h, sigma, parser, build_evaluator(h, sigma),
-                    uniformize_parser(parser))
+    evaluator = build_evaluator(h, sigma)
+    # the walk codes parsings as the evaluator's runs read them
+    parser.walker = SegmentWalk(parser, evaluator.code)
+    return Pipeline(h, sigma, parser, evaluator, uniformize_parser(parser))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,26 @@ def letters(word: str) -> tuple:
     return tuple((LETTER, c) for c in word)
 
 
+def chars(word):
+    """A word's letters as characters, any other symbol left in place."""
+    return word if isinstance(word, str) else tuple(
+        s[1] if s[0] == LETTER else s for s in word)
+
+
+class Coded(str):
+    """A word of symbols, one character each in a `code`, as a pipeline's
+    walk hands its parsings to the evaluator's runs."""
+
+    __slots__ = ()
+
+
+def code(syms) -> dict:
+    """Each symbol's one-character code, chr(i + 1) for the i-th in sorted
+    order, so chr(0) stays free; dense, so that an alphabet of fewer than
+    128 symbols keeps `str.translate` on its ASCII fast path."""
+    return {s: chr(i) for (i, s) in enumerate(sorted(syms), 1)}
+
+
 def is_letter(s: Sym) -> bool:
     return s[0] == LETTER
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -20,7 +21,7 @@ from rtec.machines import (Dfa, MachineError, MoveIndex, Nfa,
 from rtec.oracle import Oracle
 from rtec.parser_build import build_parser
 from rtec.pipeline import build_pipeline
-from rtec.symbols import LEFT_END, RIGHT_END, letter, letters
+from rtec.symbols import LEFT_END, RIGHT_END, Coded, letter, letters
 from rtec.corpus import _random_regex
 
 from conftest import LONG_CASES, SIGMA, mk, words_upto
@@ -487,7 +488,7 @@ def test_short_sweeps_make_a_state_step():
     streak = block * (n + 2)
     long_block = "a" * machines.SWEEP_MIN_TAPE
     # count the searches, one per sweep
-    (codes, steps, loops) = m.sweeps
+    (steps, loops) = m.sweeps
     searches = []
 
     def counted(search):
@@ -497,8 +498,8 @@ def test_short_sweeps_make_a_state_step():
         return f
 
     wrapped = {id(v): (counted(v[0]),) + v[1:] for v in loops.values()}
-    m.__dict__["sweeps"] = (codes, steps, {key: wrapped[id(v)]
-                                           for key, v in loops.items()})
+    m.__dict__["sweeps"] = (steps, {key: wrapped[id(v)]
+                                    for key, v in loops.items()})
     for (w, sweeps) in ((streak + long_block, n),
                         (long_block + streak + long_block, 1 + n),
                         (block * 3 + long_block + "bb" + streak + long_block,
@@ -601,7 +602,113 @@ def test_sweeps_off_translates_fast_path():
                              frozenset(sym for (_s, sym) in delta))
         w = "".join(rng.choice(syms) for _ in range(400))
         res = audited_long_run(m, w)
-        codes = m.sweeps[0].values()
+        codes = m.code.values()
         assert (max(map(ord, codes)) > 127) == (syms is chars)
         assert (res.status, res.output) == ("accept",
                                            "".join(map(out, w)))
+
+
+# ---------------------------------------------------------------------------
+# Coded parsings: a pipeline's walk hands each parsing to the evaluator as
+# one character per symbol, in the evaluator's code
+
+@functools.cache
+def corpus_pipelines():
+    return [build_pipeline(label_occurrences(e), corpus.SIGMA)
+            for e in corpus.generate()]
+
+
+def test_coded_runs_match_tuple_runs(monkeypatch):
+    # (status, output, trace) of a run on the coded parsing against one on
+    # its symbols: every corpus parsing up to length 4, and random long
+    # parsings, with the sweep gate at 0 and at its real value
+    rng = random.Random(18)
+    long_runs = []
+    for pl in corpus_pipelines()[:60]:
+        found = random_parsing(pl.parser, rng, machines.SWEEP_MIN_TAPE)
+        if found is not None:
+            long_runs.append((pl, found[1]))
+    for text, _value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        w = "".join(rng.choice("ab") for _ in range(400))
+        long_runs += [(pl, pl.parser.walker.decode(al))
+                      for al in pl.parser.walker.outputs(w)]
+    assert len(long_runs) >= 30
+    for gate in (0, machines.SWEEP_MIN_TAPE):
+        monkeypatch.setattr(machines, "SWEEP_MIN_TAPE", gate)
+        runs = 0
+        for pl in corpus_pipelines():
+            walker = pl.parser.walker
+            for w in words_upto(4):
+                for al in walker.outputs(w):
+                    res = run_two_way(pl.evaluator, Coded(al), True)
+                    assert res.status == "accept", (w, al)
+                    assert res == run_two_way(pl.evaluator, walker.decode(al),
+                                              True), (w, al)
+                    runs += 1
+        assert runs > 5000
+        for (pl, syms) in long_runs:
+            coded = Coded("".join(map(pl.evaluator.code.get, syms)))
+            assert run_two_way(pl.evaluator, coded, True) == run_two_way(
+                pl.evaluator, syms, True)
+
+
+def test_coded_relational_matches_enumerate_outputs():
+    # the coded route of `run_relational` against enumerate_outputs and
+    # runs on symbol tuples
+    for pl in corpus_pipelines():
+        for w in words_upto(4):
+            res = enumerate_outputs(pl.parser, w)
+            runs = [run_two_way(pl.evaluator, al) for al in res.outputs]
+            assert pl.run_relational(w) == (
+                {r.output for r in runs if r.status == "accept"},
+                res.truncated), w
+
+
+def test_coded_codes_stay_below_128_per_pipeline():
+    # codes are dense per pipeline: a prefix sum with 242 symbols compiled
+    # first leaves the Hadamard evaluator's 18 codes below 128, so its
+    # sweeps keep translate's fast path
+    text = " + ".join('(%s(a+b)* -> "%s")' % ("a" * i, "cd"[i % 2])
+                      for i in range(1, 61))
+    prefix = build_pipeline(mk(text), SIGMA)
+    assert prefix.run_unambiguous("ab") == "d"
+    assert len(prefix.evaluator.code) > 127
+    (text, value) = LONG_CASES[0]
+    pl = build_pipeline(mk(text), SIGMA)
+    assert pl.parser.walker.code is pl.evaluator.code
+    assert max(map(ord, pl.evaluator.code.values())) < 128
+    w = "ab" * 200
+    assert pl.run_unambiguous(w) == value(w)
+
+
+def test_coded_route_refuses_a_foreign_letter():
+    pl = build_pipeline(mk('((a+b)* -> "x") odot rev'), SIGMA)
+    for w in ("z", "az", "a" * 300 + "z", "z" + "b" * 300):
+        assert pl.run_unambiguous(w) is None, w
+        assert pl.uniformizer.unique(w) is None, w
+        assert pl.run_relational(w) == (set(), False), w
+    assert pl.run_unambiguous("ab") == "xba"
+
+
+def test_coded_outputs_decode_round_trip():
+    for pl in corpus_pipelines()[:50]:
+        (walker, code) = (pl.parser.walker, pl.evaluator.code)
+        assert sorted(code.values()) == [chr(i) for i in
+                                         range(1, len(code) + 1)]
+        assert sorted(code, key=code.get) == sorted(
+            pl.evaluator.input_alphabet)
+        for w in words_upto(3):
+            for al in walker.outputs(w):
+                syms = walker.decode(al)
+                assert type(syms) is tuple and len(syms) == len(al)
+                assert "".join(map(code.__getitem__, syms)) == al
+    # a bare transducer codes its own output symbols the same way
+    t = OneWayTransducer(1, 0, frozenset({0}), [(0, A, (A,), 0),
+                                                (0, B, (B,), 0)],
+                         frozenset({A, B}))
+    walker = t.walker
+    assert walker.code == {A: "\x01", B: "\x02"}
+    assert [walker.decode(s) for s in ("", "\x01", "\x02\x01")] == [
+        (), (A,), (B, A)]
+    assert walker.outputs("ba") == ["\x02\x01"]

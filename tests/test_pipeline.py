@@ -401,6 +401,35 @@ def test_checker_walks_the_epsilon_moves_once_per_letter(monkeypatch):
             u.parse(w) is not None and u.unique(w) is None), w
 
 
+def test_checker_listing_does_not_follow_set_layout(monkeypatch):
+    # on these expressions the checker's moves came out in another order
+    # when its synchronized closures were grown as sets pair by pair than
+    # when frozen from the discovery list
+    exprs = generate()
+    hs = [label_occurrences(exprs[143]), label_occurrences(exprs[195]),
+          mk(" + ".join('(%s(a+b)* -> "%s")' % ("a" * i, "cd"[i % 2])
+                        for i in range(1, 11)))]
+
+    def frozen(table, p, q):
+        return frozenset(machines.explore((p, q), table._sync_moves)[0])
+
+    def grown(table, p, q):
+        pairs = set()
+        for pair in machines.explore((p, q), table._sync_moves)[0]:
+            pairs.add(pair)
+        return frozenset(pairs)
+
+    for h in hs:
+        parser = build_parser(h, SIGMA)
+        dumps = []
+        for closure in (MacroStepTable.sync_closure, frozen, grown):
+            monkeypatch.setattr(MacroStepTable, "sync_closure", closure)
+            dumps.append(to_json_dict(
+                pipeline.build_functionality_checker(parser, SIGMA)))
+            monkeypatch.undo()
+        assert dumps[0] == dumps[1] == dumps[2], pretty(h)
+
+
 def test_corrupted_parser_detected_by_differential():
     h = mk('(a -> "c") . (b -> "d")')
     o = Oracle(h)
