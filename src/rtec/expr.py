@@ -10,12 +10,22 @@ the empty word and `!` for the empty language.  Precedence, tightest first:
 postfix stars, products (`.`, `.r`), `odot`, `+`.  The concrete syntax is an
 invention of this package; the pretty printer emits the canonical form and
 `parse_rte(pretty(h)) == h` holds for every tree.
+
+Parsing costs a few Python operations per token: compiled patterns read
+whitespace, runs of plain letters and the multi-character tokens where
+they start, and each rule returns its tree's depth with the tree.  So its
+time is linear in the text, but for backtracking, which reads a
+parenthesized part again.  Trees share their leaves: one `r_lit` node per
+letter, one `r_eps` and one `r_empty`.  Regex operators and the binary and
+starred combinators are built without the dataclass __init__; their
+fields, equality, hash and repr are those of nodes made by it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass
+from functools import cache
 
 
 class RteSyntaxError(ValueError):
@@ -53,28 +63,52 @@ class Regex:
     right: "Regex | None" = None
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _inner(cls, kind: str, left, right=None):
+    """A node of the frozen dataclass cls with `kind`, `left` and `right`
+    set and its other fields at their class defaults.  The generated
+    __init__ takes keyword arguments and sets every field; this skips both.
+    Setting fields in place, not through the instance dict, keeps the
+    instance as small as one made by __init__."""
+    n = _new(cls)
+    _setattr(n, "kind", kind)
+    _setattr(n, "left", left)
+    if right is not None:
+        _setattr(n, "right", right)
+    return n
+
+
+_EMPTY = Regex(EMPTY)
+_EPS = Regex(EPS)
+
+
 def r_empty() -> Regex:
-    return Regex(EMPTY)
+    return _EMPTY
 
 
 def r_eps() -> Regex:
-    return Regex(EPS)
+    return _EPS
 
 
+@cache
 def r_lit(ch: str) -> Regex:
+    """The one literal node of ch; trees share their leaves."""
     return Regex(LIT, ch=ch)
 
 
 def r_sum(a: Regex, b: Regex) -> Regex:
-    return Regex(RSUM, left=a, right=b)
+    return _inner(Regex, RSUM, a, b)
 
 
 def r_cat(a: Regex, b: Regex) -> Regex:
-    return Regex(RCAT, left=a, right=b)
+    return _inner(Regex, RCAT, a, b)
 
 
 def r_star(a: Regex) -> Regex:
-    return Regex(RSTAR, left=a)
+    return _inner(Regex, RSTAR, a)
 
 
 def r_word(w: str) -> Regex:
@@ -143,27 +177,27 @@ def base(e: Regex, v: str) -> Expr:
 
 
 def esum(f: Expr, g: Expr) -> Expr:
-    return Expr(SUM, left=f, right=g)
+    return _inner(Expr, SUM, f, g)
 
 
 def cauchy(f: Expr, g: Expr) -> Expr:
-    return Expr(CAUCHY, left=f, right=g)
+    return _inner(Expr, CAUCHY, f, g)
 
 
 def cauchy_rev(f: Expr, g: Expr) -> Expr:
-    return Expr(CAUCHY_REV, left=f, right=g)
+    return _inner(Expr, CAUCHY_REV, f, g)
 
 
 def star(f: Expr) -> Expr:
-    return Expr(STAR, left=f)
+    return _inner(Expr, STAR, f)
 
 
 def star_rev(f: Expr) -> Expr:
-    return Expr(STAR_REV, left=f)
+    return _inner(Expr, STAR_REV, f)
 
 
 def hadamard(f: Expr, g: Expr) -> Expr:
-    return Expr(HADAMARD, left=f, right=g)
+    return _inner(Expr, HADAMARD, f, g)
 
 
 def kstar(k: int, e: Regex, f: Expr) -> Expr:
@@ -333,36 +367,6 @@ def labeled_nodes(lh: LabeledExpr):
 # ---------------------------------------------------------------------------
 # Concrete syntax: parsing
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos:self.pos + n]
-
-    def starts(self, tok: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(tok, self.pos)
-
-    def eat(self, tok: str) -> bool:
-        if self.starts(tok):
-            self.pos += len(tok)
-            return True
-        return False
-
-    def expect(self, tok: str):
-        if not self.eat(tok):
-            raise RteSyntaxError("expected %r" % tok, self.pos)
-
-    def fail(self, msg: str):
-        raise RteSyntaxError(msg, self.pos)
-
-
 # Deepest parenthesis nesting the parser accepts.  Parsing recurses a few
 # frames per level and the Python stack gives out near 200 levels; at 150,
 # nested products and sums still build, evaluate and match the oracle.
@@ -375,237 +379,255 @@ MAX_NESTING = 100
 # oracle still run under Python's default recursion limit of 1000.
 MAX_TREE_DEPTH = 400
 
+# Token patterns, matched at the current position.  \s is exactly
+# str.isspace and \d exactly str.isdecimal, the digits int() reads.
+_WS = re.compile(r"\s*").match
+# a regex's postfix stars and the whitespace after them; a '*' followed
+# by 'r' belongs to the expression level
+_REGEX_STARS = re.compile(r"(?:\s*\*(?!r))*\s*").match
+_KEYWORD = re.compile(r"kr?star\{|dup\{|rev").match
+_INT = re.compile(r"\d+").match
+
 
 class _Parser:
-    """Backtracking recursive descent over the combinator grammar."""
+    """Backtracking recursive descent over the combinator grammar.  Each
+    rule returns its tree and the tree's depth as tree_depth counts it."""
 
     def __init__(self, text: str, sigma: str, gamma: str):
-        self.s = _Scanner(text)
+        self.text = text
+        self.pos = 0
         self.sigma = set(sigma)
         self.gamma = set(gamma)
         self.depth = 0
+        # Letters that are always a literal juxtaposed to the next letter:
+        # not whitespace, a star, a product dot or an atom of its own.  All
+        # but the last of a run of them take no star, so one match reads
+        # the run.
+        self.plain = {c for c in self.sigma
+                      if not (c.isspace() or c in "*.@!(")}
+        self.run = self.plain and re.compile("[%s]+" % "".join(
+            map(re.escape, sorted(self.plain)))).match
 
-    @contextmanager
-    def nested(self):
-        """One more level of parentheses, refused beyond MAX_NESTING."""
+    def ws(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
+        self.pos = p = _WS(self.text, self.pos).end()
+        return self.text[p:p + 1]
+
+    def eat(self, tok: str) -> bool:
+        self.ws()
+        if self.text.startswith(tok, self.pos):
+            self.pos += len(tok)
+            return True
+        return False
+
+    def expect(self, tok: str):
+        if not self.eat(tok):
+            self.fail("expected %r" % tok)
+
+    def fail(self, msg: str):
+        raise RteSyntaxError(msg, self.pos)
+
+    def nested(self, rule):
+        """rule() one more level of parentheses deep, refused beyond
+        MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise _TooDeep("parentheses nested deeper than %d levels"
-                           % MAX_NESTING, self.s.pos)
+                           % MAX_NESTING, self.pos)
         self.depth += 1
         try:
-            yield
+            return rule()
         finally:
             self.depth -= 1
 
     # -- regexes ------------------------------------------------------------
 
-    def regex(self) -> Regex:
-        e = self.regex_cat()
-        while self.s.eat("+"):
-            e = r_sum(e, self.regex_cat())
-        return e
+    def regex(self):
+        e, d = self.regex_cat()
+        while self.eat("+"):
+            f, g = self.regex_cat()
+            e, d = r_sum(e, f), max(d, g) + 1
+        return e, d
 
-    def regex_cat(self) -> Regex:
-        e = self.regex_post()
+    def regex_cat(self):
+        e, d = self.regex_post()
         while True:
-            save = self.s.pos
-            if self.s.eat("."):
-                e = r_cat(e, self.regex_post())
-                continue
-            self.s.skip_ws()
-            c = self.s.peek()
-            if c and (c in self.sigma or c in "@!("):
+            save = self.pos
+            c = self.ws()
+            if c == ".":
+                self.pos += 1
+                f, g = self.regex_post()
+            elif c in self.plain:
+                start, end = self.pos, self.run(self.text, self.pos).end() - 1
+                for ch in self.text[start:end]:
+                    e = r_cat(e, r_lit(ch))
+                d += end - start
+                self.pos = end
+                f, g = self.regex_post()
+            elif c and (c in self.sigma or c in "@!("):
                 try:
-                    e = r_cat(e, self.regex_post())
-                    continue
+                    f, g = self.regex_post()
                 except _TooDeep:
                     raise
                 except RteSyntaxError:
-                    self.s.pos = save
+                    self.pos = save
                     break
-            break
-        return e
-
-    def regex_post(self) -> Regex:
-        e = self.regex_atom()
-        while True:
-            self.s.skip_ws()
-            # a lone '*' is regex star; '*r' belongs to the expression level
-            if self.s.peek() == "*" and self.s.peek(2) != "*r":
-                self.s.pos += 1
-                e = r_star(e)
             else:
                 break
-        return e
+            e, d = r_cat(e, f), max(d, g) + 1
+        return e, d
 
-    def regex_atom(self) -> Regex:
-        self.s.skip_ws()
-        c = self.s.peek()
+    def regex_post(self):
+        e, d = self.regex_atom()
+        m = _REGEX_STARS(self.text, self.pos)
+        self.pos = m.end()
+        for _ in range(m.group().count("*")):
+            e, d = r_star(e), d + 1
+        return e, d
+
+    def regex_atom(self):
+        c = self.ws()
         if c == "@":
-            self.s.pos += 1
-            return r_eps()
+            self.pos += 1
+            return r_eps(), 1
         if c == "!":
-            self.s.pos += 1
-            return r_empty()
+            self.pos += 1
+            return r_empty(), 1
         if c == "(":
-            self.s.pos += 1
-            with self.nested():
-                e = self.regex()
-            self.s.expect(")")
-            return e
+            self.pos += 1
+            e_d = self.nested(self.regex)
+            self.expect(")")
+            return e_d
         if c and c in self.sigma:
-            self.s.pos += 1
-            return r_lit(c)
-        if c and (c.isalnum() and c not in self.sigma):
-            self.s.fail("letter %r is not in the input alphabet" % c)
-        self.s.fail("expected a regex")
+            self.pos += 1
+            return r_lit(c), 1
+        if c.isalnum():
+            self.fail("letter %r is not in the input alphabet" % c)
+        self.fail("expected a regex")
 
     # -- expressions ----------------------------------------------------------
 
-    def expr(self) -> Expr:
-        e = self.expr_odot()
-        while True:
-            self.s.skip_ws()
-            if self.s.peek() == "+" :
-                self.s.pos += 1
-                e = esum(e, self.expr_odot())
-            else:
-                return e
+    def expr(self):
+        e, d = self.expr_odot()
+        while self.eat("+"):
+            f, g = self.expr_odot()
+            e, d = esum(e, f), max(d, g) + 1
+        return e, d
 
-    def expr_odot(self) -> Expr:
-        e = self.expr_prod()
-        while self.s.eat("odot"):
-            e = hadamard(e, self.expr_prod())
-        return e
+    def expr_odot(self):
+        e, d = self.expr_prod()
+        while self.eat("odot"):
+            f, g = self.expr_prod()
+            e, d = hadamard(e, f), max(d, g) + 1
+        return e, d
 
-    def expr_prod(self) -> Expr:
-        e = self.expr_post()
-        while True:
-            if self.s.starts(".r"):
-                self.s.eat(".r")
-                e = cauchy_rev(e, self.expr_post())
-            elif self.s.starts("."):
-                self.s.eat(".")
-                e = cauchy(e, self.expr_post())
-            else:
-                return e
+    def expr_prod(self):
+        e, d = self.expr_post()
+        while self.ws() == ".":
+            reverse = self.text.startswith(".r", self.pos)
+            self.pos += 1 + reverse
+            f, g = self.expr_post()
+            e, d = (cauchy_rev if reverse else cauchy)(e, f), max(d, g) + 1
+        return e, d
 
-    def expr_post(self) -> Expr:
-        e = self.expr_atom()
-        while True:
-            if self.s.starts("*r"):
-                self.s.eat("*r")
-                e = star_rev(e)
-            elif self.s.starts("*"):
-                self.s.eat("*")
-                e = star(e)
-            else:
-                return e
+    def expr_post(self):
+        e, d = self.expr_atom()
+        while self.ws() == "*":
+            reverse = self.text.startswith("*r", self.pos)
+            self.pos += 1 + reverse
+            e, d = (star_rev if reverse else star)(e), d + 1
+        return e, d
 
-    def expr_atom(self) -> Expr:
-        self.s.skip_ws()
-        for kw, ctor in (("kstar", kstar), ("krstar", kstar_rev)):
-            if self.s.starts(kw + "{"):
-                self.s.eat(kw)
-                self.s.expect("{")
-                k = self.int_lit()
-                if k < 1:
-                    self.s.fail("chained star needs k >= 1")
-                self.s.expect(",")
-                e = self.regex()
-                self.s.expect("}")
-                self.s.expect("(")
-                with self.nested():
-                    f = self.expr()
-                self.s.expect(")")
-                return ctor(k, e, f)
-        if self.s.starts("dup{"):
-            self.s.eat("dup")
-            self.s.expect("{")
-            self.s.skip_ws()
-            ch = self.s.peek()
+    def expr_atom(self):
+        c = self.ws()
+        m = _KEYWORD(self.text, self.pos)
+        kw = m and m.group()
+        if kw in ("kstar{", "krstar{"):
+            self.pos = m.end()
+            k = self.int_lit()
+            if k < 1:
+                self.fail("chained star needs k >= 1")
+            self.expect(",")
+            e, de = self.regex()
+            self.expect("}")
+            self.expect("(")
+            f, df = self.nested(self.expr)
+            self.expect(")")
+            ctor = kstar if kw == "kstar{" else kstar_rev
+            return ctor(k, e, f), max(de, df) + 1
+        if kw == "dup{":
+            self.pos = m.end()
+            ch = self.ws()
             if not ch or ch == "}":
-                self.s.fail("dup needs a separator letter")
+                self.fail("dup needs a separator letter")
             if ch in self.sigma:
-                self.s.fail("dup separator %r must not be an input letter" % ch)
+                self.fail("dup separator %r must not be an input letter" % ch)
             if ch not in self.gamma:
-                self.s.fail("dup separator %r is not an output letter" % ch)
-            self.s.pos += 1
-            self.s.expect("}")
-            return dup(ch)
-        if self.s.starts("rev"):
-            self.s.eat("rev")
-            return rev()
-        if self.s.starts("("):
-            save = self.s.pos
-            self.s.eat("(")
+                self.fail("dup separator %r is not an output letter" % ch)
+            self.pos += 1
+            self.expect("}")
+            return dup(ch), 1
+        if kw == "rev":
+            self.pos = m.end()
+            return rev(), 1
+        if c == "(":
+            save = self.pos
+            self.pos += 1
             try:
-                with self.nested():
-                    e = self.expr()
-                self.s.expect(")")
-                return e
+                e_d = self.nested(self.expr)
+                self.expect(")")
+                return e_d
             except _TooDeep:
                 raise
             except RteSyntaxError:
-                self.s.pos = save
+                self.pos = save
         return self.base_expr()
 
-    def base_expr(self) -> Expr:
-        e = self.regex()
-        self.s.expect("->")
+    def base_expr(self):
+        e, d = self.regex()
+        self.expect("->")
         v = self.string_lit()
         for c in v:
             if c not in self.gamma:
-                self.s.fail("output letter %r is not in the output alphabet" % c)
-        return base(e, v)
+                self.fail("output letter %r is not in the output alphabet" % c)
+        return base(e, v), d + 1
 
     def int_lit(self) -> int:
-        self.s.skip_ws()
-        start = self.s.pos
-        while self.s.pos < len(self.s.text) and self.s.text[self.s.pos].isdigit():
-            self.s.pos += 1
-        if self.s.pos == start:
-            self.s.fail("expected an integer")
-        return int(self.s.text[start:self.s.pos])
+        self.ws()
+        m = _INT(self.text, self.pos)
+        if not m:
+            self.fail("expected an integer")
+        self.pos = m.end()
+        return int(m.group())
 
     def string_lit(self) -> str:
-        self.s.skip_ws()
-        if self.s.peek() != '"':
-            self.s.fail("expected a quoted output word")
-        self.s.pos += 1
-        start = self.s.pos
-        while self.s.pos < len(self.s.text) and self.s.text[self.s.pos] != '"':
-            self.s.pos += 1
-        if self.s.pos >= len(self.s.text):
-            self.s.fail("unterminated string")
-        v = self.s.text[start:self.s.pos]
-        self.s.pos += 1
+        if self.ws() != '"':
+            self.fail("expected a quoted output word")
+        end = self.text.find('"', self.pos + 1)
+        if end < 0:
+            self.pos = len(self.text)
+            self.fail("unterminated string")
+        v = self.text[self.pos + 1:end]
+        self.pos = end + 1
         return v
 
 
-def _check_depth(tree):
-    if tree_depth(tree) > MAX_TREE_DEPTH:
+def _parse(rule, text: str, sigma: str, gamma: str):
+    p = _Parser(text, sigma, gamma)
+    tree, depth = rule(p)
+    if p.ws():
+        p.fail("trailing input")
+    if depth > MAX_TREE_DEPTH:
         raise TreeTooDeep("tree deeper than %d levels" % MAX_TREE_DEPTH, 0)
     return tree
 
 
 def parse_rte(text: str, sigma: str, gamma: str) -> Expr:
     """Parse expression text over the declared alphabets."""
-    p = _Parser(text, sigma, gamma)
-    e = p.expr()
-    p.s.skip_ws()
-    if p.s.pos != len(text):
-        raise RteSyntaxError("trailing input", p.s.pos)
-    return _check_depth(e)
+    return _parse(_Parser.expr, text, sigma, gamma)
 
 
 def parse_regex(text: str, sigma: str) -> Regex:
-    p = _Parser(text, sigma, "")
-    e = p.regex()
-    p.s.skip_ws()
-    if p.s.pos != len(text):
-        raise RteSyntaxError("trailing input", p.s.pos)
-    return _check_depth(e)
+    return _parse(_Parser.regex, text, sigma, "")
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,11 @@ class SegmentWalk:
         # the transducer's own letter symbols, by character
         self.letters = {a[1]: a for a in t.input_alphabet}
         self.code = code
-        self.symbols = dict(zip(code.values(), code))
+        # decode's table, the symbol of each code, built on its first call.
+        # Not a cached_property: that writes through the instance __dict__,
+        # which CPython then keeps as a real dict, and every later
+        # attribute read of the walk's hot loop gets slower.
+        self.symbols = None
         self.coded = _Codes(code)
         self.coreach_sets = {}
         self.forward_sets = {}
@@ -455,9 +459,12 @@ class SegmentWalk:
 
     def decode(self, word) -> tuple:
         """The symbols of a coded output."""
+        symbols = self.symbols
+        if symbols is None:
+            symbols = self.symbols = dict(zip(self.code.values(), self.code))
         if len(word) > 1:  # then itemgetter gives a tuple, and fast
-            return itemgetter(*word)(self.symbols)
-        return tuple(map(self.symbols.__getitem__, word))
+            return itemgetter(*word)(symbols)
+        return tuple(map(symbols.__getitem__, word))
 
     def _hold(self, states):
         self.held += len(states)
@@ -800,10 +807,15 @@ def run_two_way(t: TwoWayTransducer, word,
     bound = k * (n + 1)
     skipped = 0  # steps taken by sweeps beyond one per pass of the loop
     for it in range(bound):
-        if state in finals and pos + (signs[state] < 0) == n:
-            return TwoWayResult("accept", "".join(out), trace)
         move = table.get(base[pos] + state)
         if move is None:
+            # Only a + state at position n, past the right endmarker, can
+            # accept, and there it has no move: base[n] is -k.  A - state
+            # never reaches boundary n, as it would have to come from a +
+            # state at n or a - state at n + 1.  So a configuration with a
+            # move never accepts, and acceptance is tested only here.
+            if pos == n and state in finals:
+                return TwoWayResult("accept", "".join(out), trace)
             sweep = loops and loops.get(base[pos] + state)
             if sweep:
                 # A sweep passes exactly the symbols whose single move out
