@@ -11,7 +11,7 @@ from .machines import (Dfa, Nfa, OneWayTransducer, TwoWayTransducer,
 from .oracle import (BoundedSet, Oracle, OracleLimitError,
                      check_kstar_conditions, re_match)
 from .parser_build import build_parser, parser_invariants_ok
-from .evaluator_build import build_evaluator, ext_alphabet
+from .evaluator_build import build_evaluator
 from .pipeline import (MacroStepTable, Pipeline, UniformParser,
                        build_functionality_checker, build_pipeline,
                        build_unambiguity_acceptor, check_size_bounds,

@@ -152,6 +152,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_len < 0:
+        raise UsageError("--max-len must be at least 0, got %d"
+                         % args.max_len)
     sigma, gamma = _alphabets(args)
     expr, text = _expression(args, sigma, gamma)
     h = label_occurrences(expr)

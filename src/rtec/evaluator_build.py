@@ -86,12 +86,6 @@ def build_evaluator(h: LabeledExpr, sigma: str) -> TwoWayTransducer:
     return t
 
 
-def ext_alphabet(h: LabeledExpr, sigma: str) -> frozenset:
-    """Symbols that can occur inside the parsing of h, its own parentheses
-    included: the evaluator's input alphabet without the endmarkers."""
-    return build_evaluator(h, sigma).input_alphabet - {LEFT_END, RIGHT_END}
-
-
 def _emit(h: LabeledExpr, sigma: str, b: _Builder, q_in: int, q_out: int,
           idx: tuple) -> set:
     """Write h's evaluator into b with q_in as its initial state and q_out

@@ -45,12 +45,14 @@ class MachineError(ValueError):
 # ---------------------------------------------------------------------------
 # One-way machines
 
-def _walk(start, adj: dict) -> set:
-    """The states reachable from `start` in `adj`, state to state list."""
+def _walk(start, adj: dict, pos: int) -> set:
+    """The states reachable from `start` in `adj`, which lists each state's
+    transition tuples; the next state sits at index `pos` of a tuple."""
     seen = set(start)
     stack = list(start)
     while stack:
-        for d in adj.get(stack.pop(), ()):
+        for t in adj.get(stack.pop(), ()):
+            d = t[pos]
             if d not in seen:
                 seen.add(d)
                 stack.append(d)
@@ -61,9 +63,9 @@ class MoveIndex:
     """The transitions of a one-way machine by state, in construction order.
 
     Takes (src, sym | None, dst) or (src, sym | None, out, dst) tuples.
-    `eps[src]` and `letter[(src, sym)]` list the transition tuples;
-    `rev_eps[dst]` and `rev_letter[(dst, sym)]` list source states and exist
-    only with `reverse`, which would double determinization's memory.
+    `eps[src]`, `letter[(src, sym)]` and `rev_eps[dst]` list the transition
+    tuples, `rev_letter[(dst, sym)]` source states; the last two exist only
+    with `reverse`, which would double determinization's memory.
     """
 
     def __init__(self, transitions, reverse: bool = False):
@@ -77,7 +79,7 @@ class MoveIndex:
             if t[1] is None:
                 self.eps.setdefault(t[0], []).append(t)
                 if reverse:
-                    self.rev_eps.setdefault(t[k], []).append(t[0])
+                    self.rev_eps.setdefault(t[k], []).append(t)
             else:
                 self.letter.setdefault((t[0], t[1]), []).append(t)
                 if reverse:
@@ -85,20 +87,11 @@ class MoveIndex:
 
     def closure(self, states) -> set:
         """States reachable from `states` by epsilon moves."""
-        seen = set(states)
-        stack = list(states)
-        eps, k = self.eps, self.dst_pos
-        while stack:
-            for t in eps.get(stack.pop(), ()):
-                d = t[k]
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
+        return _walk(states, self.eps, self.dst_pos)
 
     def coclosure(self, states) -> set:
         """States that reach `states` by epsilon moves."""
-        return _walk(states, self.rev_eps)
+        return _walk(states, self.rev_eps, 0)
 
     def eps_components(self):
         """The strongly connected components of the epsilon moves, each
@@ -275,15 +268,14 @@ def _dfa(start, step, alphabet, final) -> Dfa:
                frozenset(alphabet))
 
 
-def determinize(nfa: Nfa, alphabet=None) -> Dfa:
+def determinize(nfa: Nfa) -> Dfa:
     """Powerset construction with epsilon closure; result is complete.  The
     index is built here rather than read from `nfa.index`, so that it is
     not kept on the automaton."""
     moves = MoveIndex(nfa.transitions)
     (closure, step, finals) = (moves.closure, moves.step, nfa.finals)
     return _dfa(frozenset(closure({nfa.initial})),
-                lambda s, a: frozenset(closure(step(s, a))),
-                nfa.alphabet if alphabet is None else alphabet,
+                lambda s, a: frozenset(closure(step(s, a))), nfa.alphabet,
                 lambda s: any(q in finals for q in s))
 
 
@@ -375,10 +367,11 @@ class OneWayTransducer:
         on first use and kept; the transition list must not change after
         that.  No accepting run uses another move."""
         fwd, bwd = {}, {}
-        for (s, _a, _o, d) in self.transitions:
-            fwd.setdefault(s, []).append(d)
-            bwd.setdefault(d, []).append(s)
-        useful = _walk({self.initial}, fwd) & _walk(set(self.finals), bwd)
+        for t in self.transitions:
+            fwd.setdefault(t[0], []).append(t)
+            bwd.setdefault(t[3], []).append(t)
+        useful = (_walk({self.initial}, fwd, 3)
+                  & _walk(set(self.finals), bwd, 0))
         return MoveIndex([t for t in self.transitions
                           if t[0] in useful and t[3] in useful], reverse=True)
 

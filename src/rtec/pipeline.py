@@ -13,9 +13,9 @@ states are found by a loop of its own; every other construction here,
 down to the saturation's closures, goes through `machines.explore`.
 
 `domain_dfas` builds deterministic acceptors of dom and udom bottom-up.
-The words with two factorizations under a star or a product come from
+Stars, products and the words with two factorizations under them are
 subset constructions over states of the children's DFAs, built with
-`machines._dfa` from their transitions, reachable part only.
+`machines._dfa`, reachable part only; no epsilon-NFA is built for them.
 
 The uniformizer realizes the two-pass decomposition: a backward pass
 annotates positions with co-reachable parser states, and a forward walk
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
-                   REV, STAR, STAR_REV, SUM, LabeledExpr, size, unlabel,
+                   REV, STAR, STAR_REV, SUM, LabeledExpr, size,
                    uses_hadamard_or_kstar, uses_kstar, width)
 from .glushkov import glushkov
 from .machines import (Dfa, Nfa, OneWayTransducer, SegmentWalk,
@@ -301,28 +301,23 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
     total = Dfa(1, 0, frozenset({0}), loop, alpha)
     empty = Dfa(1, 0, frozenset(), loop, alpha)
 
-    def of_nfa(nfa: Nfa) -> Dfa:
-        return minimize_dfa(determinize(nfa, alpha))
-
     def pair(h: LabeledExpr) -> tuple[Dfa, Dfa]:
         if h.kind == BASE:
-            d = of_nfa(glushkov(h.regex, sigma))
+            d = minimize_dfa(determinize(glushkov(h.regex, sigma)))
             return d, d
         if h.kind in (DUP, REV):
             return total, total
         if h.kind in (KSTAR, KSTAR_REV):
             parser = build_parser(h, sigma)
-            dom = of_nfa(parser.underlying_nfa())
-            multi = determinize(build_functionality_checker(parser, sigma),
-                                alpha)
+            dom = minimize_dfa(determinize(parser.underlying_nfa()))
+            multi = determinize(build_functionality_checker(parser, sigma))
             return dom, minimize_dfa(dfa_difference(dom, multi))
         (df, uf) = pair(h.left)
         if h.kind in (STAR, STAR_REV):
-            dom = of_nfa(_star_pos_nfa(df, alpha))
+            dom = minimize_dfa(_star_dfa(df))
             if df.accepts(""):
                 return dom, empty
-            good = determinize(_star_pos_nfa(uf, alpha), alpha)
-            return dom, minimize_dfa(dfa_difference(good,
+            return dom, minimize_dfa(dfa_difference(_star_dfa(uf),
                                                     _ambiguous_star_dfa(df)))
         (dg, ug) = pair(h.right)
         if h.kind == SUM:
@@ -333,24 +328,32 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
             return (minimize_dfa(dfa_intersect(df, dg)),
                     minimize_dfa(dfa_intersect(uf, ug)))
         if h.kind in (CAUCHY, CAUCHY_REV):
-            good = determinize(_cat_pair_nfa(uf, ug, alpha), alpha)
-            return (of_nfa(_cat_pair_nfa(df, dg, alpha)),
+            return (minimize_dfa(_cat_dfa(df, dg)),
                     minimize_dfa(dfa_difference(
-                        good, _ambiguous_split_dfa(df, dg))))
+                        _cat_dfa(uf, ug), _ambiguous_split_dfa(df, dg))))
         raise ValueError(h.kind)
 
     return pair(h)
 
 
-def _cat_pair_nfa(d1: Dfa, d2: Dfa, alpha) -> Nfa:
-    trans = [(s, a, t) for ((s, a), t) in d1.delta.items()]
-    off = d1.n_states
-    for ((s, a), t) in d2.delta.items():
-        trans.append((s + off, a, t + off))
-    for f in d1.finals:
-        trans.append((f, None, d2.initial + off))
-    return Nfa(off + d2.n_states, d1.initial,
-               frozenset(f + off for f in d2.finals), trans, alpha)
+def _cat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """Words u v with u in L(d1) and v in L(d2).
+
+    A state holds d1's state on the word read so far and the set of d2's
+    states on the letters since each split after a prefix in L(d1); d2's
+    initial state joins the set wherever d1's state is final."""
+    (f, ff, g, gf, g0) = (d1.delta, d1.finals, d2.delta, d2.finals,
+                          d2.initial)
+
+    def split(s, since):
+        return (s, since | {g0}) if s in ff else (s, since)
+
+    def step(state, a):
+        (s, since) = state
+        return split(f[(s, a)], frozenset(g[(y, a)] for y in since))
+
+    return _dfa(split(d1.initial, frozenset()), step, d1.alphabet,
+                lambda state: not gf.isdisjoint(state[1]))
 
 
 def _ambiguous_split_dfa(df: Dfa, dg: Dfa) -> Dfa:
@@ -378,13 +381,21 @@ def _ambiguous_split_dfa(df: Dfa, dg: Dfa) -> Dfa:
                                   for (y, z) in state[2]))
 
 
-def _star_pos_nfa(d: Dfa, alpha) -> Nfa:
-    trans = [(s + 1, a, t + 1) for ((s, a), t) in d.delta.items()]
-    trans.append((0, None, d.initial + 1))
-    for f in d.finals:
-        trans.append((f + 1, None, d.initial + 1))
-    finals = frozenset({0} | {f + 1 for f in d.finals})
-    return Nfa(d.n_states + 1, 0, finals, trans, alpha)
+def _star_dfa(d: Dfa) -> Dfa:
+    """Words that split into factors of L(d), the empty word included.
+
+    A state is the set of d's states on the letters since each split; d's
+    initial state joins the set wherever it holds a final state.  The start
+    is the empty set, which accepts and steps as if it held d's initial
+    state; as d is complete, no later set is empty."""
+    (delta, finals, q0) = (d.delta, d.finals, d.initial)
+
+    def step(states, a):
+        nxt = frozenset(delta[(q, a)] for q in states or (q0,))
+        return nxt if finals.isdisjoint(nxt) else nxt | {q0}
+
+    return _dfa(frozenset(), step, d.alphabet,
+                lambda states: not (states and finals.isdisjoint(states)))
 
 
 def _ambiguous_star_dfa(d: Dfa) -> Dfa:
@@ -489,12 +500,11 @@ def check_size_bounds(h: LabeledExpr, sigma: str,
                       pipeline: Pipeline | None = None) -> BoundReport:
     """Actual machine sizes against the stated bounds; any violation flips
     the report to failing."""
-    hp = unlabel(h)
-    sz, w = size(hp), width(hp)
+    sz, w = size(h), width(h)
     pl = pipeline or build_pipeline(h, sigma)
     (parser, evaluator, checker) = (pl.parser, pl.evaluator, pl.checker)
-    p_bound = sz ** w if uses_hadamard_or_kstar(hp) else sz
-    t_bound = 5 * sz * w if uses_kstar(hp) else 5 * sz
+    p_bound = sz ** w if uses_hadamard_or_kstar(h) else sz
+    t_bound = 5 * sz * w if uses_kstar(h) else 5 * sz
     rep = BoundReport(sz, w, parser.n_states, evaluator.n_states,
                       checker.n_states, p_bound, t_bound)
     rep.add("parser <= bound", parser.n_states, p_bound)

@@ -127,6 +127,16 @@ def test_check_passes(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_check_rejects_negative_max_len(capsys):
+    rc = main(["check", "--expr", '(a -> "c")', "--sigma", "ab",
+               "--gamma", "cd", "--max-len", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert captured.err.strip() == (
+        "usage error: --max-len must be at least 0, got -1")
+
+
 def test_check_runs_each_parsing_once(capsys, monkeypatch):
     # "a" has two parsings and "b" one, its only one
     text = '((a -> "c") + (a -> "d")) + (b -> "e")'

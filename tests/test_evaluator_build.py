@@ -5,8 +5,7 @@ import pytest
 from rtec.expr import label_occurrences
 from rtec import evaluator_build
 from rtec.evaluator_build import (_Builder, _emit, build_evaluator,
-                                  evaluator_shape_ok, evaluator_size_formula,
-                                  ext_alphabet)
+                                  evaluator_shape_ok, evaluator_size_formula)
 from rtec.machines import (MachineError, TwoWayTransducer, enumerate_outputs,
                            is_reversible, run_two_way)
 from rtec.oracle import Oracle
@@ -216,7 +215,7 @@ def test_every_move_written_once(monkeypatch):
 
 def test_ext_alphabet_indexing():
     h = mk('kstar{2, a}((a -> "c"))')
-    alpha = ext_alphabet(h, SIGMA)
+    alpha = build_evaluator(h, SIGMA).input_alphabet - {LEFT_END, RIGHT_END}
     assert lopen(2, (1,)) in alpha and lopen(2, (2,)) in alpha
     assert lopen(2) not in alpha
     # h parens, f^i, sep

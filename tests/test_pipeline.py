@@ -5,7 +5,8 @@ from datetime import timedelta
 from hypothesis import assume, given, settings, strategies as st
 
 from rtec import corpus
-from rtec.expr import BASE, children, label_occurrences, pretty
+from rtec.expr import (BASE, base, children, esum, label_occurrences, pretty,
+                       r_eps, star)
 from rtec.glushkov import glushkov
 from rtec.machines import (MoveIndex, determinize, enumerate_outputs,
                            minimize_dfa, nfa_accepts, run_two_way,
@@ -17,7 +18,7 @@ from rtec.pipeline import (MacroStepTable, build_pipeline,
                            check_size_bounds, domain_dfas,
                            uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
-from rtec.symbols import letter, render_word
+from rtec.symbols import render_word
 
 from conftest import LONG_CASES, SIGMA, mk, words_upto
 
@@ -292,13 +293,12 @@ def test_domain_dfas_one_pass(monkeypatch):
 
 def _base_regex_dfas(count):
     # distinct minimal DFAs of the corpus's base regexes, in corpus order
-    alpha = frozenset(letter(c) for c in SIGMA)
     found = {}
     todo = list(reversed(generate(200)))
     while todo and len(found) < count:
         e = todo.pop()
         if e.kind == BASE:
-            d = minimize_dfa(determinize(glushkov(e.regex, SIGMA), alpha))
+            d = minimize_dfa(determinize(glushkov(e.regex, SIGMA)))
             found.setdefault(json.dumps(to_json_dict(d)), d)
         todo.extend(reversed(list(children(e))))
     return list(found.values())
@@ -314,34 +314,59 @@ def test_ambiguity_automata_against_splits():
             for w in words} for d in dfas]
     outs = [{w: {j for j in range(len(w) + 1) if d.accepts(w[j:])}
              for w in words} for d in dfas]
-    (starred, found) = (0, 0)
+    (starred, found, in_star) = (0, 0, 0)
     for (i, d) in enumerate(dfas):
-        if d.accepts(""):
-            continue
-        starred += 1
-        amb = pipeline._ambiguous_star_dfa(d)
+        kleene = pipeline._star_dfa(d)
+        amb = None if d.accepts("") else pipeline._ambiguous_star_dfa(d)
+        starred += amb is not None
         for w in words:
             # factorizations of each prefix into nonempty factors, up to 2
             ways = [1]
             for j in range(1, len(w) + 1):
                 ways.append(min(2, sum(ways[k] for k in range(j)
                                        if d.accepts(w[k:j]))))
-            assert amb.accepts(w) == (ways[-1] == 2), (i, w)
-            found += ways[-1] == 2
+            assert kleene.accepts(w) == (ways[-1] > 0), (i, w)
+            in_star += ways[-1] > 0
+            if amb is not None:
+                assert amb.accepts(w) == (ways[-1] == 2), (i, w)
+                found += ways[-1] == 2
     # both answers occur
-    assert starred >= 10 and found
-    found = 0
+    assert starred >= 10 and found and 0 < in_star < len(dfas) * len(words)
+    (found, in_cat) = (0, 0)
     for (i, df) in enumerate(dfas):
         for (k, dg) in enumerate(dfas):
+            cat = pipeline._cat_dfa(df, dg)
             amb = pipeline._ambiguous_split_dfa(df, dg)
             for w in words:
+                # some cut x with w[:x] in L(df) and w[x:] in L(dg)
+                assert cat.accepts(w) == bool(ins[i][w] & outs[k][w]), \
+                    (i, k, w)
+                in_cat += bool(ins[i][w] & outs[k][w])
                 # u = w[:x], v = w[x:y] nonempty, w = w[y:]
                 want = any(x in ins[i][w] and y in ins[i][w]
                            and x in outs[k][w] and y in outs[k][w]
                            for y in range(len(w) + 1) for x in range(y))
                 assert amb.accepts(w) == want, (i, k, w)
                 found += want
-    assert found
+    assert found and 0 < in_cat < len(dfas) ** 2 * len(words)
+
+
+@settings(deadline=None, max_examples=200, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       depth=st.integers(0, corpus.MAX_DEPTH - 1), wrap=st.booleans())
+def test_domain_dfas_match_oracle(seed, depth, wrap):
+    # a wrapped draw stars a body with the empty word in its domain, the
+    # branch where udom is empty
+    e = corpus._random_expr(random.Random(seed), depth)
+    assume(corpus.acceptable(e))
+    if wrap:
+        e = star(esum(e, base(r_eps(), "x")))
+    h = label_occurrences(e)
+    o = Oracle(h)
+    (dd, ud) = domain_dfas(h, corpus.SIGMA)
+    for w in words_upto(5, corpus.SIGMA):
+        assert dd.accepts(w) == o.dom(h, w), (pretty(e), w)
+        assert ud.accepts(w) == o.udom(h, w), (pretty(e), w)
 
 
 def test_bound_report():
