@@ -24,7 +24,7 @@ fields, equality, hash and repr are those of nodes made by it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 
@@ -55,12 +55,55 @@ RCAT = "rcat"
 RSTAR = "rstar"
 
 
+def _tree_eq(a, b):
+    """The dataclass equality, fields compared in turn as tuples compare
+    them, but walked without recursion, so that trees of any depth
+    compare."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    todo = [(a, b)]
+    while todo:
+        (a, b) = todo.pop()
+        for f in _FIELDS[a.__class__]:
+            (x, y) = (getattr(a, f), getattr(b, f))
+            if x is y:
+                continue
+            if x.__class__ in _FIELDS or y.__class__ in _FIELDS:
+                if x.__class__ is not y.__class__:
+                    return False
+                todo.append((x, y))
+            elif not x == y:
+                return False
+    return True
+
+
+def _tree_repr(node) -> str:
+    """The dataclass repr, built without recursion."""
+    out = []
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if n.__class__ is str:
+            out.append(n)
+            continue
+        todo.append(")")
+        for (i, f) in reversed(list(enumerate(_FIELDS[n.__class__]))):
+            v = getattr(n, f)
+            todo.append(v if v.__class__ in _FIELDS else repr(v))
+            todo.append("%s%s=" % (", " if i else "", f))
+        todo.append(n.__class__.__qualname__ + "(")
+    return "".join(out)
+
+
 @dataclass(frozen=True)
 class Regex:
     kind: str
     ch: str | None = None
     left: "Regex | None" = None
     right: "Regex | None" = None
+
+    __eq__ = _tree_eq
+    __repr__ = _tree_repr
 
 
 _new = object.__new__
@@ -170,6 +213,9 @@ class Expr:
     right: "Expr | None" = None
     k: int | None = None
     sep: str | None = None
+
+    __eq__ = _tree_eq
+    __repr__ = _tree_repr
 
 
 def base(e: Regex, v: str) -> Expr:
@@ -331,6 +377,14 @@ class LabeledExpr:
     right: "LabeledExpr | None" = None
     k: int | None = None
     sep: str | None = None
+
+    __eq__ = _tree_eq
+    __repr__ = _tree_repr
+
+
+# each tree class's fields, in order, for _tree_eq and _tree_repr
+_FIELDS = {c: tuple(f.name for f in fields(c))
+           for c in (Regex, Expr, LabeledExpr)}
 
 
 def label_occurrences(h: Expr) -> LabeledExpr:

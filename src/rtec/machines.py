@@ -7,11 +7,14 @@ the head moving in its own direction.  A run on w simulates on |- w -| from
 configuration (initial, boundary 0) and accepts in a final state once the
 whole tape, right endmarker included, has been consumed.
 
-On a tape of at least `SWEEP_MIN_TAPE` symbols, a run takes each sweep, a
-self-loop that carries the head across a block in one state, as one regular
-expression search and one `str.translate` over the coded tape, so it costs
-Python steps per change of state rather than per symbol.  A pipeline's walk
-hands its parsings over coded already, so the run hashes no symbol.
+On a tape of at least `SWEEP_MIN_TAPE` symbols, an untraced run takes each
+sweep, a self-loop that carries the head across a block in one state, as
+one regular expression search and one `str.translate` over the coded tape.
+All its other moves but the one a sweep stops at go through window runs
+memoized on the machine, keyed by the state and the codes around the head,
+which are all such a run reads.  So it costs Python steps per change of
+state or fewer, not per symbol.  A pipeline's walk hands its parsings over
+coded already, so the run hashes no symbol.
 
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
@@ -341,7 +344,8 @@ def minimize_dfa(d: Dfa) -> Dfa:
 # in a frozenset the first is 4 to 10 MB per transducer, and at about 700
 # bytes a segment the second about 90 MB.  One pass of both semantics over
 # the acceptance corpus (200 parsers, 127 words each) leaves 4,861 states,
-# at most 241 in one parser, and 2,436 segments.
+# at most 241 in one parser, and 2,436 segments.  Also the most window
+# runs a two-way transducer keeps: at 130 to 170 bytes a run, about 22 MB.
 COREACH_MEMO_STATES = 1 << 17
 
 
@@ -671,35 +675,32 @@ class TwoWayTransducer:
 
     @cached_property
     def sweeps(self) -> tuple:
-        """(steps, loops): what `run_two_way` reads in place of the moves
-        of `table` on a long tape, built on the first one and kept.  `steps`
-        is those moves without the self-loops, and `loops` maps each
-        self-loop's key to (search, outs, plain) of its state: `search` is
-        the bound search method of a compiled `[^...]` class of the codes
-        the state does not loop on, `outs` is the `str.translate` table
-        from each loop code to its output (None for an empty one), or None
-        when no loop of the state emits anything, and `plain` holds the
-        state's loops as `table` does."""
+        """(steps, loops, windows): what `run_two_way` reads in place of the
+        moves of `table` on a long tape, built on the first one and kept.
+        `steps` is those moves without the self-loops, and `loops` maps each
+        self-loop's key to (search, outs) of its state: `search` is the
+        bound search method of a compiled `[^...]` class of the codes the
+        state does not loop on, and `outs` the `str.translate` table from
+        each loop code to its output (None for an empty one), or None when
+        no loop of the state emits anything.  `windows` is the memo of
+        window runs, filled by the runs."""
         (_bases, moves, _multi) = self.table
         k = self.n_states
-        steps, outs, plain = {}, {}, {}
+        steps, outs = {}, {}
         for key, move in moves.items():
-            state = key % k
-            if move[0] == state:
-                outs.setdefault(state, {})[key // k + 1] = move[1]
-                plain.setdefault(state, {})[key] = move
+            if move[0] == key % k:
+                outs.setdefault(move[0], {})[key // k + 1] = move[1]
             else:
                 steps[key] = move
-        loops = {}
+        sweep = {}
         for state, by_code in outs.items():
             cls = "".join(re.escape(chr(c)) for c in by_code)
             # None deletes a code; unlike "", it keeps translate's fast path
             tr = {c: o or None for c, o in by_code.items()}
-            sweep = (re.compile("[^%s]" % cls).search,
-                     tr if any(tr.values()) else None, plain[state])
-            for key in plain[state]:
-                loops[key] = sweep
-        return steps, loops
+            sweep[state] = (re.compile("[^%s]" % cls).search,
+                            tr if any(tr.values()) else None)
+        loops = {key: sweep[key % k] for key in moves if key not in steps}
+        return steps, loops, {}
 
 
 class Configuration(NamedTuple):
@@ -731,16 +732,11 @@ def _read_position(sign: int, boundary: int) -> int:
 # symbols, so at 256 they never sweep.
 SWEEP_MIN_TAPE = 256
 
-# A sweep's search costs about as much as four or five plain steps, so a
-# sweep of fewer than SHORT_SWEEP_LEN symbols loses time.  Once a state's
-# sweeps come out that short SHORT_SWEEP_STREAK times in a row, the run
-# takes that state's loops by table lookup for the rest of the tape.  The
-# long-words star product sweeps blocks of 1 to 3 symbols 12,000 times per
-# 4,000-letter word: timed interleaved on a 2-core VM with Python 3.11, its
-# two-way runs took 0.94 of the time of runs without sweeps when every loop
-# swept, and 0.60 under this rule.
-SHORT_SWEEP_LEN = 4
-SHORT_SWEEP_STREAK = 8
+# The half-width of a window: a window run reads the 2 * WINDOW + 1 codes
+# centred on the head, five letters of the long-words star product's
+# parsings.  Wider windows ran faster on words seen before and slower on new
+# ones (CHANGES.md).
+WINDOW = 12
 
 
 def run_two_way(t: TwoWayTransducer, word,
@@ -749,21 +745,19 @@ def run_two_way(t: TwoWayTransducer, word,
     a str of letters, a tuple of symbols, or a `Coded` string in `t.code`.
 
     A coded word is the tape as it is: the key bases come off its codes,
-    and a long one sweeps on it, with no symbol hashed; a long tape of
-    symbols is coded first.  Steps by lookup in `t.table`.  On a tape of
-    `SWEEP_MIN_TAPE` symbols or more, a self-loop move starts a sweep
-    instead: one search of the coded tape (reversed for a - state) finds
-    the first symbol the state does not loop on, the head jumps there, and
-    one translate of the passed codes gives the sweep's output, so a run
-    costs Python steps per change of state, not per symbol.  A state whose
-    sweeps come out shorter than `SHORT_SWEEP_LEN` `SHORT_SWEEP_STREAK`
-    times in a row takes its loops step by step for the rest of the run.
-    A run longer than the number of configurations, n_states * (|w| + 3),
-    counting every step a sweep passes, has repeated one and loops
-    forever, so it stops there as "loop"; a configuration with more than
-    one move raises MachineError.  Acceptance needs a final state with the
-    whole tape, right endmarker included, consumed.  Status, output and
-    trace are those of the step-by-step run.
+    with no symbol hashed.  Steps by lookup in `t.table`.  An untraced run
+    on a tape of `SWEEP_MIN_TAPE` symbols or more, coded first if it is one
+    of symbols, takes self-loops by sweeps, the move a sweep stops at by
+    lookup and any other move by a window run memoized on the machine
+    (`_run_coded`), so it costs Python steps per change of state or fewer,
+    not per symbol.  A traced run steps, as its trace lists each
+    configuration anyway.  A run longer than the number of configurations,
+    n_states * (|w| + 3), counting every step a sweep or a window run
+    passes, has repeated one and loops forever, so it stops there as
+    "loop"; a configuration with more than one move raises MachineError.
+    Acceptance needs a final state with the whole tape, right endmarker
+    included, consumed.  Status and output are those of the step-by-step
+    run.
     """
     (bases, table, multi) = t.table
     k = t.n_states
@@ -774,92 +768,145 @@ def run_two_way(t: TwoWayTransducer, word,
     else:
         syms = letters(word) if isinstance(word, str) else tuple(word)
         tape = (LEFT_END,) + syms + (RIGHT_END,)
-        if len(tape) >= SWEEP_MIN_TAPE:
+        if len(tape) >= SWEEP_MIN_TAPE and not want_trace:
             # coded first, so that each symbol is hashed once
             tape = "".join(map(t.code.get, tape, repeat("\0")))
     n = len(tape)
+    bound = k * (n + 1)
+    # a long run reads the tape padded with WINDOW chr(0) on each side, so
+    # that every window around the head lies in it; position p is index
+    # p + off
+    off = WINDOW if n >= SWEEP_MIN_TAPE and not want_trace else 0
+    if off:
+        tape = "%s%s%s" % ("\0" * off, tape, "\0" * off)
     # key base per read position; a symbol outside the alphabet has base
     # -k, as has the extra last entry, which serves both off-tape
-    # positions, -1 and n, so all of these give negative keys, which the
-    # table never holds
+    # positions of a short tape, -1 and n, so all of these give negative
+    # keys, which the table never holds
     base = list(map(bases.get, tape, repeat(-k)))
     base.append(-k)
-    loops = None
-    if n >= SWEEP_MIN_TAPE:
-        (table, loops) = t.sweeps
-        # tape position p is index p + 1 of fwd and n - p of bwd; the
-        # stop code chr(0) sits past each end
-        fwd = "\0%s\0" % tape
-        bwd = fwd[::-1]
-        shorts = {}  # per state, how many sweeps in a row came out short
-    finals, signs = t.finals, t.signs
+    signs = t.signs
     state = t.initial
-    pos = _read_position(signs[state], 0)
-    out = []
+    pos = _read_position(signs[state], 0) + off
     trace = [Configuration(state, 0)] if want_trace else []
-    bound = k * (n + 1)
-    skipped = 0  # steps taken by sweeps beyond one per pass of the loop
-    for it in range(bound):
-        move = table.get(base[pos] + state)
+    if off:
+        (state, pos, out, steps) = _run_coded(t, tape, base, state, pos,
+                                              bound, t.sweeps[2])
+        if steps >= bound:
+            return TwoWayResult("loop")
+    else:
+        out = []
+        for _ in range(bound):
+            move = table.get(base[pos] + state)
+            if move is None:
+                break
+            (state, o, d) = move
+            pos += d
+            if o:
+                out.append(o)
+            if want_trace:
+                trace.append(Configuration(state, pos + (signs[state] < 0)))
+        else:
+            # more steps than there are configurations with a move, k per
+            # tape position: the run has repeated one and never ends
+            return TwoWayResult("loop", None, trace)
+        out = "".join(out)
+    # The run stopped in a configuration with no single move.  Only a +
+    # state at position n, past the right endmarker, can accept, and there
+    # it has no move.  A - state never reaches boundary n, as it would have
+    # to come from a + state at n or a - state at n + 1.  So a
+    # configuration with a move never accepts.
+    if pos - off == n and state in t.finals:
+        return TwoWayResult("accept", out, trace)
+    sym = multi.get(base[pos] + state)
+    if sym is not None:
+        raise MachineError("state %d has %d moves on %s"
+                           % (state, len(t.delta[(state, sym)]), render(sym)))
+    return TwoWayResult("reject", None, trace)
+
+
+def _run_coded(t: TwoWayTransducer, s: str, base: list, state: int,
+               pos: int, limit: int, windows: dict | None = None) -> tuple:
+    """The untraced run on the coded string `s`, whose key bases are
+    `base`, from `state` reading index `pos` until the head leaves `s`, a
+    configuration has no single move, a sweep would leave `s` or `limit`
+    steps are taken: (state, pos, output, steps).
+
+    A self-loop move starts a sweep: one search of `s` (reversed for a -
+    state) finds the first code the state does not loop on, the head jumps
+    there, and one translate of the passed codes gives the output.  No
+    loop class holds chr(0) or the code of a foreign or nondeterministic
+    symbol, so each configuration a sweep skips has the loop as its one
+    move and lies on the tape, where it does not accept.  Other moves are
+    taken by lookup; with `windows`, the memo of window runs, only the one
+    a sweep stops at is, and any other takes the `_run_window` run of the
+    state and the 2 * WINDOW + 1 codes centred on the head.
+    """
+    (table, loops, _windows) = t.sweeps
+    signs = t.signs
+    rev = s[::-1]
+    last = len(s) - 1
+    out = []
+    steps = 0
+    swept = False
+    while 0 <= pos <= last and steps < limit:
+        key = base[pos] + state
+        move = table.get(key)
         if move is None:
-            # Only a + state at position n, past the right endmarker, can
-            # accept, and there it has no move: base[n] is -k.  A - state
-            # never reaches boundary n, as it would have to come from a +
-            # state at n or a - state at n + 1.  So a configuration with a
-            # move never accepts, and acceptance is tested only here.
-            if pos == n and state in finals:
-                return TwoWayResult("accept", "".join(out), trace)
-            sweep = loops and loops.get(base[pos] + state)
-            if sweep:
-                # A sweep passes exactly the symbols whose single move out
-                # of `state` is a loop, and stops before the first other
-                # one.  A nondeterministic or foreign symbol has no code in
-                # the loop class, nor has the stop code past each end.  So
-                # each configuration the sweep skips has the loop as its
-                # one move and lies on the tape, where a + state reads short
-                # of position n and a - state, having moved left, short of
-                # n - 1: none accepts.  The next pass of the loop takes the
-                # configuration the sweep stops at.
-                (search, tr, plain) = sweep
-                d = signs[state]
-                (s, i) = (fwd, pos + 1) if d > 0 else (bwd, n - pos)
-                steps = search(s, i + 1).start() - i
-                if tr is not None:
-                    out.append(s[i:i + steps].translate(tr))
-                if want_trace:
-                    b = pos + (d < 0)
-                    trace.extend(map(Configuration, repeat(state),
-                                     range(b + d, b + (steps + 1) * d, d)))
-                if steps < SHORT_SWEEP_LEN:
-                    shorts[state] = streak = shorts.get(state, 0) + 1
-                    if streak == SHORT_SWEEP_STREAK:
-                        table = {**table, **plain}
-                else:
-                    shorts[state] = 0
-                pos += steps * d
-                skipped += steps - 1
-                if it + 1 + skipped >= bound:
-                    break
-                continue
-            sym = multi.get(base[pos] + state)
-            if sym is not None:
-                raise MachineError("state %d has %d moves on %s"
-                                   % (state, len(t.delta[(state, sym)]),
-                                      render(sym)))
-            return TwoWayResult("reject", None, trace)
-        (state, o, d) = move
-        pos += d
-        if o:
-            out.append(o)
-        if want_trace:
-            trace.append(Configuration(state, pos + (signs[state] < 0)))
-    # The run took more steps than there are configurations with a move, k
-    # per tape position, so it has repeated one and never ends.  The last
-    # sweep, or plain steps after sweeps, may have gone past that bound;
-    # none of those steps can end the run, and the trace is cut back to the
-    # bound, as a step-by-step run's is.
-    del trace[bound + 1:]
-    return TwoWayResult("loop", None, trace)
+            sweep = loops.get(key)
+            if sweep is None:
+                break
+            (search, tr) = sweep
+            d = signs[state]
+            (x, i) = (s, pos) if d > 0 else (rev, last - pos)
+            stop = search(x, i + 1)
+            if stop is None:
+                break
+            m = stop.start() - i
+            if tr is not None:
+                out.append(x[i:i + m].translate(tr))
+            pos += m * d
+            steps += m
+            swept = True
+        elif swept or windows is None:
+            (state, o, d) = move
+            pos += d
+            if o:
+                out.append(o)
+            steps += 1
+            swept = False
+        else:
+            key = (state, s[pos - WINDOW:pos + WINDOW + 1])
+            run = windows.get(key)
+            if run is None:
+                if len(windows) >= COREACH_MEMO_STATES:
+                    windows.clear()
+                run = windows[key] = _run_window(
+                    t, state, key[1], base[pos - WINDOW:pos + WINDOW + 1])
+            if run is False:
+                return state, pos, None, limit
+            (state, shift, o, m) = run
+            pos += shift
+            if o:
+                out.append(o)
+            steps += m
+    return state, pos, "".join(out), steps
+
+
+def _run_window(t: TwoWayTransducer, state: int, window: str, base: list):
+    """The run from `state` at the centre of `window`, whose key bases are
+    `base`, until the head leaves it, a configuration has no single move
+    or a sweep would leave it, as (state, head shift, output, steps); it
+    reads only the window's codes (Shepherdson 1959).  False when the run
+    repeats a configuration and so never ends: when it takes more steps
+    inside the window than the window has configurations, n_states per
+    code."""
+    limit = t.n_states * len(window)
+    (state, pos, out, steps) = _run_coded(t, window, base, state, WINDOW,
+                                          limit)
+    if steps >= limit and 0 <= pos < len(window):
+        return False
+    return (state, pos - WINDOW, out, steps)
 
 
 def audit_trace(t: TwoWayTransducer, word, trace) -> bool:

@@ -5,11 +5,11 @@ import sys
 import pytest
 
 from rtec import corpus
-from rtec.expr import (MAX_TREE_DEPTH, RCAT, Expr, Regex, RteSyntaxError,
-                       TreeTooDeep, base, dup, esum, kstar, label_occurrences,
-                       labeled_nodes, nl, parse_regex, parse_rte, pretty,
-                       r_cat, r_lit, r_star, size, star, tree_depth, unlabel,
-                       width)
+from rtec.expr import (MAX_TREE_DEPTH, RCAT, Expr, LabeledExpr, Regex,
+                       RteSyntaxError, TreeTooDeep, base, dup, esum, kstar,
+                       label_occurrences, labeled_nodes, nl, parse_regex,
+                       parse_rte, pretty, r_cat, r_lit, r_star, size, star,
+                       tree_depth, unlabel, width)
 from rtec.oracle import Oracle
 from rtec.pipeline import build_pipeline
 
@@ -144,6 +144,24 @@ def test_tree_depth_limit(shape):
     assert pl.run_unambiguous("a") == Oracle(h).usem(h, "a")
     with pytest.raises(TreeTooDeep):
         parse_rte(deep_texts(MAX_TREE_DEPTH + 1)[shape], SIGMA, "x")
+
+
+@pytest.mark.parametrize("shape", sorted(deep_texts(3)))
+def test_deep_trees_compare_and_print(shape):
+    # == and repr walk a tree without recursion, so trees at the depth
+    # limit compare and print; a shallow tree's repr evaluates back to it
+    text = deep_texts(MAX_TREE_DEPTH)[shape]
+    (e, f) = (parse_rte(text, SIGMA, "xy"), parse_rte(text, SIGMA, "xy"))
+    assert e == f and not e != f
+    assert label_occurrences(e) == label_occurrences(f)
+    other = parse_rte(text.replace('"x"', '"y"'), SIGMA, "xy")
+    assert e != other and label_occurrences(e) != label_occurrences(other)
+    assert repr(e).startswith("Expr(kind=")
+    assert repr(label_occurrences(e)).startswith("LabeledExpr(occ=1, ")
+    names = {"Expr": Expr, "Regex": Regex, "LabeledExpr": LabeledExpr}
+    small = parse_rte(deep_texts(12)[shape], SIGMA, "xy")
+    for t in (small, label_occurrences(small)):
+        assert eval(repr(t), names) == t
 
 
 def test_regex_depth_limit():
@@ -316,9 +334,7 @@ def _stars(node, n, ctor):
 @pytest.mark.parametrize("shape", [_kstar_regex_stars, _parenthesized_stars])
 def test_tree_too_deep_exactly_beyond_the_limit(shape):
     # the tree the parser builds is the tree the constructors build, and it
-    # is refused exactly when tree_depth exceeds the limit; trees this deep
-    # are compared by their canonical text, as == recurses several frames
-    # per level
+    # is refused exactly when tree_depth exceeds the limit
     seen = set()
     for n in range(MAX_TREE_DEPTH - 160, MAX_TREE_DEPTH + 3):
         text, tree = shape(n)
@@ -328,5 +344,5 @@ def test_tree_too_deep_exactly_beyond_the_limit(shape):
             with pytest.raises(TreeTooDeep):
                 parse_rte(text, SIGMA, GAMMA)
         else:
-            assert pretty(parse_rte(text, SIGMA, GAMMA)) == pretty(tree)
+            assert parse_rte(text, SIGMA, GAMMA) == tree
     assert seen == {True, False}

@@ -349,9 +349,8 @@ def step_outputs(t, word, trace) -> str:
 
 
 def audited_long_run(t, word):
-    """The traced run of t on a tape past the sweep gate, checked step by
-    step against delta, against the untraced run and against the run
-    without sweeps."""
+    """The untraced run of t on a tape past the sweep gate, against the
+    traced run, which steps and is checked step by step against delta."""
     syms = letters(word) if isinstance(word, str) else tuple(word)
     assert len(syms) + 2 >= machines.SWEEP_MIN_TAPE
     res = run_two_way(t, syms, want_trace=True)
@@ -360,7 +359,7 @@ def audited_long_run(t, word):
         assert res.output == step_outputs(t, syms, res.trace)
     plain = run_two_way(t, syms)
     assert (plain.status, plain.output) == (res.status, res.output)
-    assert stepwise(t, syms, want_trace=True) == res
+    assert res == stepwise(t, syms, want_trace=True)
     return res
 
 
@@ -469,53 +468,9 @@ def test_short_tapes_build_no_sweep_data():
     assert "sweeps" in vars(m)
 
 
-def test_short_sweeps_make_a_state_step():
-    # state 1 sweeps short blocks of a between pairs of b, which it steps
-    # over with state 3, until its short sweeps make a streak; then it
-    # crosses a long block of a step by step.  A long sweep in between
-    # restarts the streak.
-    delta = {
-        (0, LEFT_END): [(1, "")],
-        (1, A): [(1, "x")],
-        (1, B): [(3, "y")],
-        (3, B): [(1, "")],
-        (1, RIGHT_END): [(2, "")],
-    }
-    m = TwoWayTransducer(4, [1, 1, 1, 1], 0, frozenset({2}), delta,
-                         frozenset({A, B, LEFT_END, RIGHT_END}))
-    n = machines.SHORT_SWEEP_STREAK
-    block = "a" * (machines.SHORT_SWEEP_LEN - 1) + "bb"
-    streak = block * (n + 2)
-    long_block = "a" * machines.SWEEP_MIN_TAPE
-    # count the searches, one per sweep
-    (steps, loops) = m.sweeps
-    searches = []
-
-    def counted(search):
-        def f(*args):
-            searches.append(args)
-            return search(*args)
-        return f
-
-    wrapped = {id(v): (counted(v[0]),) + v[1:] for v in loops.values()}
-    m.__dict__["sweeps"] = (steps, {key: wrapped[id(v)]
-                                    for key, v in loops.items()})
-    for (w, sweeps) in ((streak + long_block, n),
-                        (long_block + streak + long_block, 1 + n),
-                        (block * 3 + long_block + "bb" + streak + long_block,
-                         3 + 1 + n)):
-        res = audited_long_run(m, w)
-        assert (res.status, res.output) == (
-            "accept", w.replace("a", "x").replace("bb", "y")), w
-        searches.clear()
-        run_two_way(m, w)
-        assert len(searches) == sweeps, w
-
-
-def test_sweep_loop_status():
-    # states 1 and 3 step in turn over b, then state 1 sweeps right over
-    # a; state 2 sweeps left over both, so the run never ends.  Across the
-    # words, the step bound falls inside a sweep and on a plain step.
+def bouncer():
+    """States 1 and 3 step in turn over b, then state 1 sweeps right over
+    a; state 2 sweeps left over both, so a run never ends."""
     delta = {
         (0, LEFT_END): [(1, "")],
         (1, A): [(1, "x")],
@@ -526,8 +481,14 @@ def test_sweep_loop_status():
         (2, B): [(2, "y")],
         (2, LEFT_END): [(1, "")],
     }
-    m = TwoWayTransducer(4, [1, 1, -1, 1], 0, frozenset(), delta,
-                         frozenset({A, B, LEFT_END, RIGHT_END}))
+    return TwoWayTransducer(4, [1, 1, -1, 1], 0, frozenset(), delta,
+                            frozenset({A, B, LEFT_END, RIGHT_END}))
+
+
+def test_sweep_loop_status():
+    # across the words, the traced run's last step is a loop and a plain
+    # step
+    m = bouncer()
     last_steps = set()
     for i in range(300, 304):
         for j in range(0, 24, 2):
@@ -609,6 +570,189 @@ def test_sweeps_off_translates_fast_path():
 
 
 # ---------------------------------------------------------------------------
+# Window runs: on a long tape, an untraced run takes each move that is not a
+# loop, nor the move a sweep stops at, through a memo of runs keyed by the
+# state and the codes around the head, kept on the machine
+
+def fresh(t):
+    """t with no run data built, so with an empty window memo."""
+    return TwoWayTransducer(t.n_states, t.signs, t.initial, t.finals,
+                            t.delta, t.input_alphabet)
+
+
+def test_window_memo_shared_across_words():
+    # one evaluator over many long parsings against a fresh one per
+    # parsing and the step-by-step run
+    rng = random.Random(21)
+    runs = []
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        walker = pl.parser.walker
+        for n in (254, 300, 301, 700, 1500):
+            w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
+            runs += [(pl.evaluator, walker.decode(al))
+                     for al in walker.outputs(w)]
+            assert pl.run_unambiguous(w) == value(w), text
+    for pl in corpus_pipelines():
+        for _ in range(3):
+            found = random_parsing(pl.parser, rng, machines.SWEEP_MIN_TAPE)
+            if found is not None:
+                runs.append((pl.evaluator, found[1]))
+    assert len(runs) >= 200
+    for (evaluator, syms) in runs:
+        shared = run_two_way(evaluator, syms)
+        assert shared.status == "accept"
+        for other in (run_two_way(fresh(evaluator), syms),
+                      stepwise(evaluator, syms)):
+            assert (other.status, other.output) == (shared.status,
+                                                    shared.output)
+
+
+def test_window_run_that_loops():
+    # state 1 meets b, turns back to - state 2 on the a before, which
+    # turns forward to 1 on the b again: a cycle inside one window, after
+    # a sweep across the tape or inside the first window
+    delta = {
+        (0, LEFT_END): [(1, "")],
+        (1, A): [(1, "x")],
+        (1, B): [(2, "")],
+        (2, A): [(1, "y")],
+    }
+    for w in ("a" * 300 + "b", "a" * 5 + "b" + "a" * 300):
+        m = TwoWayTransducer(3, [1, 1, -1], 0, frozenset(), delta,
+                             frozenset({A, B, LEFT_END, RIGHT_END}))
+        assert audited_long_run(m, w).status == "loop", w
+        assert False in m.sweeps[2].values(), w
+
+
+class LoggedWindows(dict):
+    """A window memo that logs the steps of each window run it gives."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key):
+        run = super().get(key)
+        if run:
+            self.log.append(("window", run[3]))
+        return run
+
+    def __setitem__(self, key, run):
+        super().__setitem__(key, run)
+        if run:
+            self.log.append(("window", run[3]))
+
+
+def test_window_and_sweep_step_bounds():
+    # Across the words, the step bound falls inside a window run, over the
+    # b blocks, and inside a sweep.  Each sweep on the tape and each window
+    # run handed out is logged; the other steps are the single moves after
+    # sweeps.
+    m = bouncer()
+    log = []
+    (steps, loops, _windows) = m.sweeps
+
+    def logged(search):
+        def f(s, i):
+            found = search(s, i)
+            if len(s) > 2 * machines.WINDOW + 1:
+                log.append(("sweep", found.start() - i + 1))
+            return found
+        return f
+
+    wrapped = {id(v): (logged(v[0]), v[1]) for v in loops.values()}
+    m.__dict__["sweeps"] = (steps, {key: wrapped[id(v)]
+                                    for (key, v) in loops.items()},
+                            LoggedWindows(log))
+    falls = set()
+    for i in range(300, 304):
+        for j in range(0, 40, 2):
+            w = "b" * j + "a" * i
+            log.clear()
+            assert audited_long_run(m, w).status == "loop", w
+            log.clear()
+            run_two_way(m, w)
+            bound = m.n_states * (len(w) + 3)
+            taken = 0
+            for (at, (kind, n)) in enumerate(log, 1):
+                taken += n
+                if taken < bound and kind == "sweep":
+                    taken += 1
+                if taken >= bound:
+                    # the run stops as soon as it reaches the bound
+                    assert at == len(log), w
+                    falls.add((kind, taken > bound))
+            assert taken >= bound, w
+    assert {("window", True), ("sweep", True)} <= falls
+
+
+def zigzag():
+    """State 1 reads each symbol, steps back to - state 2 and forward to
+    3, which moves on to the next one: three moves per symbol, none of
+    them a loop, so every one goes through the window memo."""
+    delta = {
+        (0, LEFT_END): [(1, "")],
+        (1, A): [(2, "x")],
+        (1, B): [(2, "y")],
+        (1, RIGHT_END): [(4, "z")],
+        (3, A): [(1, "")],
+        (3, B): [(1, "")],
+    }
+    delta.update(((2, s), [(3, "")]) for s in (A, B, LEFT_END))
+    return TwoWayTransducer(5, [1, 1, -1, 1, 1], 0, frozenset({4}), delta,
+                            frozenset({A, B, LEFT_END, RIGHT_END}))
+
+
+def test_window_ends_and_foreign_symbols():
+    # windows over the padding past either end of the tape, and windows
+    # holding a letter outside the alphabet, whose code is that padding
+    rng = random.Random(21)
+    words = ["a" * 300, "b" * 299 + "a", "ab" * 127]
+    words += ["".join(rng.choice("ab") for _ in range(n)) for n in (254, 400)]
+    for w in words:
+        for m in (zigzag(), reversible_acceptor()):
+            res = audited_long_run(m, w)
+            assert res.status == "accept", w
+        assert res.output == "" and audited_long_run(zigzag(), w).output == (
+            w.replace("a", "x").replace("b", "y") + "z")
+        for at in (0, 1, 5, 150, len(w) - 6, len(w) - 1):
+            v = w[:at] + "z" + w[at + 1:]
+            for m in (zigzag(), reversible_acceptor()):
+                assert audited_long_run(m, v).status == "reject", (v, at)
+    # a coded tape in the zigzag's own code, ending on a code of no symbol
+    m = zigzag()
+    coded = Coded("".join(m.code[letter(c)] for c in words[-1]))
+    for tail in ("", "\0", "\x7f"):
+        res = run_two_way(m, Coded(coded + tail))
+        want = stepwise(m, Coded(coded + tail))
+        assert (res.status, res.output) == (want.status, want.output)
+        assert res.status == ("accept" if not tail else "reject")
+
+
+def test_window_memo_cap(monkeypatch):
+    # with a memo cap of 8 runs, the memo starts over many times and the
+    # results stay those of the step-by-step run
+    monkeypatch.setattr(machines, "COREACH_MEMO_STATES", 8)
+    misses = []
+    run_window = machines._run_window
+    monkeypatch.setattr(machines, "_run_window",
+                        lambda *args: misses.append(1) or run_window(*args))
+    rng = random.Random(21)
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        evaluator = fresh(pl.evaluator)
+        for n in (300, 600):
+            w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
+            for al in pl.parser.walker.outputs(w):
+                syms = pl.parser.walker.decode(al)
+                res = run_two_way(evaluator, syms)
+                assert (res.status, res.output) == ("accept", value(w))
+                assert len(evaluator.sweeps[2]) <= 8
+    assert len(misses) > 3 * 8
+
+
+# ---------------------------------------------------------------------------
 # Coded parsings: a pipeline's walk hands each parsing to the evaluator as
 # one character per symbol, in the evaluator's code
 
@@ -621,7 +765,8 @@ def corpus_pipelines():
 def test_coded_runs_match_tuple_runs(monkeypatch):
     # (status, output, trace) of a run on the coded parsing against one on
     # its symbols: every corpus parsing up to length 4, and random long
-    # parsings, with the sweep gate at 0 and at its real value
+    # parsings, with the sweep gate at 0 and at its real value; at 0, the
+    # untraced run on a short parsing reads windows over both ends
     rng = random.Random(18)
     long_runs = []
     for pl in corpus_pipelines()[:60]:
@@ -645,12 +790,17 @@ def test_coded_runs_match_tuple_runs(monkeypatch):
                     assert res.status == "accept", (w, al)
                     assert res == run_two_way(pl.evaluator, walker.decode(al),
                                               True), (w, al)
+                    plain = run_two_way(pl.evaluator, Coded(al))
+                    assert (plain.status, plain.output) == (res.status,
+                                                            res.output)
                     runs += 1
         assert runs > 5000
         for (pl, syms) in long_runs:
             coded = Coded("".join(map(pl.evaluator.code.get, syms)))
-            assert run_two_way(pl.evaluator, coded, True) == run_two_way(
-                pl.evaluator, syms, True)
+            res = run_two_way(pl.evaluator, coded, True)
+            assert res == run_two_way(pl.evaluator, syms, True)
+            plain = run_two_way(pl.evaluator, coded)
+            assert (plain.status, plain.output) == (res.status, res.output)
 
 
 def test_coded_relational_matches_enumerate_outputs():
