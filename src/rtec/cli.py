@@ -21,7 +21,7 @@ from .machines import (enumerate_outputs, is_reversible, nfa_accepts,
 from .oracle import Oracle, OracleLimitError, check_kstar_conditions
 from .evaluator_build import evaluator_shape_ok
 from .parser_build import parser_invariants_ok
-from .pipeline import build_pipeline, check_size_bounds, domain_dfas
+from .pipeline import build_pipeline, check_size_bounds
 from .symbols import render_word
 
 
@@ -65,6 +65,8 @@ def _alphabets(args) -> tuple:
         gamma = gamma or conf.get("gamma")
     if not sigma:
         raise UsageError("missing input alphabet (--sigma or config)")
+    if len(set(sigma)) < len(sigma):
+        raise UsageError("input alphabet %r repeats a letter" % sigma)
     return sigma, gamma or ""
 
 
@@ -95,7 +97,7 @@ def cmd_compile(args) -> int:
         raise UsageError("cannot make directory %s: %s"
                          % (out, exc.strerror or exc))
     rep = check_size_bounds(h, sigma, pl)
-    dom = domain_dfas(h, sigma)[0]
+    dom = pl.domains[0]
     for (name, m) in (("parser", pl.parser), ("evaluator", pl.evaluator),
                       ("checker", pl.checker), ("acceptor", pl.acceptor),
                       ("dom", dom)):
@@ -178,7 +180,7 @@ def cmd_check(args) -> int:
         report("evaluator-shape", "", False, True)
     if not parser_invariants_ok(pl.parser):
         report("parser-invariants", "", False, True)
-    (dd, ud) = domain_dfas(h, sigma)
+    (dd, ud) = pl.domains
     for w in _words_upto(sigma, args.max_len):
         parsed = enumerate_outputs(pl.parser, w)
         exp = o.parsings(h, w)
@@ -199,9 +201,11 @@ def cmd_check(args) -> int:
             else:
                 if got != rsem.items:
                     report("relational", w, sorted(got), sorted(rsem.items))
-        if nfa_accepts(pl.checker, w) != (o.dom(h, w) and not o.udom(h, w)):
-            report("checker", w, nfa_accepts(pl.checker, w),
-                   o.dom(h, w) and not o.udom(h, w))
+        multi = o.dom(h, w) and not o.udom(h, w)
+        if nfa_accepts(pl.checker, w) != multi:
+            report("checker", w, not multi, multi)
+        if pl.acceptor.accepts(w) == multi:
+            report("acceptor", w, multi, not multi)
         if dd.accepts(w) != o.dom(h, w):
             report("dom", w, dd.accepts(w), o.dom(h, w))
         if ud.accepts(w) != o.udom(h, w):

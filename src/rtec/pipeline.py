@@ -7,15 +7,18 @@ Its premises quantify over runs that read one letter after spontaneous
 parenthesis moves, decided here by a finite saturation over state pairs
 (synchronized while the outputs agree, independent after the first
 difference), which terminates even when the parser has epsilon cycles.
-`Pipeline` builds B and its complement acceptor on first use only, for
-exports, size reports and checks: the runtime needs neither.  B's pair
-states are found by a loop of its own; every other construction here,
-down to the saturation's closures, goes through `machines.explore`.
+B's pair states are found by a loop of its own; every other construction
+here, down to the saturation's closures, goes through `machines.explore`.
 
 `domain_dfas` builds deterministic acceptors of dom and udom bottom-up.
 Stars, products and the words with two factorizations under them are
 subset constructions over states of the children's DFAs, built with
 `machines._dfa`, reachable part only; no epsilon-NFA is built for them.
+The complement acceptor of L(B), the words with at most one parsing, is
+the minimized complement of dom minus udom, not a determinization of B.
+`Pipeline` builds B, the dom and udom pair and the acceptor on first use
+only, for exports, size reports and checks: the runtime needs none of
+them.
 
 The uniformizer realizes the two-pass decomposition: a backward pass
 annotates positions with co-reachable parser states, and a forward walk
@@ -202,9 +205,9 @@ def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
                frozenset(alphabet))
 
 
-def build_unambiguity_acceptor(checker: Nfa) -> Dfa:
-    """Complete DFA for the complement of L(B)."""
-    return complement_dfa(determinize(checker))
+def build_unambiguity_acceptor(dom: Dfa, udom: Dfa) -> Dfa:
+    """Minimal complete DFA for the complement of L(B), dom minus udom."""
+    return complement_dfa(minimize_dfa(dfa_difference(dom, udom)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +433,9 @@ def _ambiguous_star_dfa(d: Dfa) -> Dfa:
 class Pipeline:
     """Built machines for one expression, with staged unambiguous runs.
 
-    The functionality checker and its complement acceptor are built on
-    first use and kept; `run_unambiguous` needs neither."""
+    The functionality checker, the dom and udom DFAs (`domains`) and the
+    acceptor made from them are built on first use and kept; the acceptor
+    does not read the checker, and `run_unambiguous` needs none of them."""
 
     expr: LabeledExpr
     sigma: str
@@ -444,8 +448,12 @@ class Pipeline:
         return build_functionality_checker(self.parser, self.sigma)
 
     @cached_property
+    def domains(self) -> tuple[Dfa, Dfa]:
+        return domain_dfas(self.expr, self.sigma)
+
+    @cached_property
     def acceptor(self) -> Dfa:
-        return build_unambiguity_acceptor(self.checker)
+        return build_unambiguity_acceptor(*self.domains)
 
     def run_unambiguous(self, word: str):
         found = self.uniformizer.walker.outputs(word, True)

@@ -164,6 +164,19 @@ def test_check_runs_each_parsing_once(capsys, monkeypatch):
     assert runs == {"cli": parsings, "pipeline": unique}
 
 
+def test_check_compares_the_acceptor(capsys, monkeypatch):
+    # an acceptor of dom instead of its complement minus udom
+    monkeypatch.setattr(pipeline, "build_unambiguity_acceptor",
+                        lambda dom, udom: dom)
+    rc = main(["check", "--expr", '(a -> "c") + (a -> "d")', "--sigma",
+               SIGMA, "--gamma", "cd", "--max-len", "2"])
+    assert rc == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails and all(line.startswith("FAIL acceptor ") for line in fails)
+    assert "FAIL acceptor on 'a': machine True vs oracle False" in fails
+
+
 def test_dump_dot(tmp_path, capsys):
     rc = main(["dump", "--expr", "dup{#}", "--sigma", "ab", "--gamma", "ab#",
                "--machine", "evaluator", "--format", "dot",
@@ -237,6 +250,23 @@ def test_config_file(tmp_path, capsys):
     rc = main(["eval", "--expr", '(a -> "c")', "--config", str(conf), "a"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == '"c"'
+
+
+@pytest.mark.parametrize("command", ["compile", "eval", "check"])
+def test_repeated_input_letter_exit_code(command, tmp_path, capsys):
+    conf = tmp_path / "rtec.conf"
+    conf.write_text("sigma = aba\ngamma = cd\n")
+    rest = {"compile": ["--out-dir", str(tmp_path / "out")],
+            "eval": ["a"], "check": ["--max-len", "1"]}[command]
+    for (alphabet, shown) in ((["--sigma", "aa", "--gamma", "cd"], "'aa'"),
+                              (["--config", str(conf)], "'aba'")):
+        rc = main([command, "--expr", '(a -> "c")'] + alphabet + rest)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: input alphabet %s repeats a letter\n" % shown)
+    assert not (tmp_path / "out").exists()
 
 
 def test_deep_tree_exit_code(capsys):

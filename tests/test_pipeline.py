@@ -8,15 +8,15 @@ from rtec import corpus
 from rtec.expr import (BASE, base, children, esum, label_occurrences, pretty,
                        r_eps, star)
 from rtec.glushkov import glushkov
-from rtec.machines import (MoveIndex, determinize, enumerate_outputs,
-                           minimize_dfa, nfa_accepts, run_two_way,
-                           to_json_dict)
+from rtec.machines import (MoveIndex, complement_dfa, determinize,
+                           dfa_product, enumerate_outputs, minimize_dfa,
+                           nfa_accepts, run_two_way, to_json_dict)
 from rtec.oracle import Oracle, OracleLimitError
 from rtec.parser_build import build_parser
 from rtec import machines, pipeline
 from rtec.pipeline import (MacroStepTable, build_pipeline,
-                           check_size_bounds, domain_dfas,
-                           uniformize_parser)
+                           build_unambiguity_acceptor, check_size_bounds,
+                           domain_dfas, uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
 from rtec.symbols import render_word
 
@@ -64,6 +64,34 @@ def test_acceptor_accepts_outside_domain():
     pl = build_pipeline(h, SIGMA)
     assert pl.acceptor.accepts("bbb")
     assert pl.acceptor.accepts("")
+
+
+def _sum_text(regexes):
+    return " + ".join('(%s -> "%s")' % (r, "cd"[i % 2])
+                      for (i, r) in enumerate(regexes, 1))
+
+
+def _compile_heavy():
+    """The compile-heavy benchmark's expressions, labeled, with sigma."""
+    prefix = ["a" * i + "(a+b)*" for i in range(1, 61)]
+    two_sided = ["a" * i + "b(a+b)*" if i % 2 else "(a+b)*b" + "a" * i
+                 for i in range(1, 31)]
+    texts = [_sum_text(prefix[:40]), _sum_text(prefix), _sum_text(two_sided),
+             LONG_CASES[2][0]]
+    return ([(mk(t), SIGMA) for t in texts]
+            + [(label_occurrences(cn_expression(4)), cn_alphabet(4))])
+
+
+def test_acceptor_matches_the_determinized_checker():
+    # the complement of the determinized checker B is the reference for
+    # the acceptor's language, and its minimization for the acceptor's size
+    cases = [(label_occurrences(e), SIGMA) for e in generate(200)]
+    for (h, sigma) in cases + _compile_heavy():
+        pl = build_pipeline(h, sigma)
+        old = complement_dfa(determinize(pl.checker))
+        differ = dfa_product(old, pl.acceptor, lambda x, y: x != y)
+        assert not differ.finals, pretty(h)
+        assert minimize_dfa(old).n_states == pl.acceptor.n_states, pretty(h)
 
 
 def test_uniformizer_deterministic_member():
@@ -159,9 +187,11 @@ def test_build_pipeline_leaves_checker_and_acceptor_for_first_use(
     assert pl.run_unambiguous("a") is None
     assert pl.run_unambiguous("b") == "c"
     assert calls == []
+    # the acceptor comes from the domain automata, one DFA per base regex
     assert not pl.acceptor.accepts("a") and pl.acceptor.accepts("b")
+    assert calls == ["determinize"] * 3
     assert pl.checker is pl.checker
-    assert calls == ["checker", "determinize"]
+    assert calls == ["determinize"] * 3 + ["checker"]
 
 
 def test_walker_memos_stay_under_their_cap(monkeypatch):
@@ -364,9 +394,13 @@ def test_domain_dfas_match_oracle(seed, depth, wrap):
     h = label_occurrences(e)
     o = Oracle(h)
     (dd, ud) = domain_dfas(h, corpus.SIGMA)
+    acceptor = build_unambiguity_acceptor(dd, ud)
     for w in words_upto(5, corpus.SIGMA):
         assert dd.accepts(w) == o.dom(h, w), (pretty(e), w)
         assert ud.accepts(w) == o.udom(h, w), (pretty(e), w)
+        # at most one parsing
+        assert acceptor.accepts(w) == (o.udom(h, w) or not o.dom(h, w)), \
+            (pretty(e), w)
 
 
 def test_bound_report():
