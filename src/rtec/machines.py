@@ -19,7 +19,8 @@ coded already, so the run hashes no symbol.
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
 `enumerate_outputs`, or the only one for the uniformizer's `unique`.  Both
-read the same co-reach sets and the same segments.
+read the same co-reach sets and the same segments; on a long word, the walk
+for the only one takes blocks of `BLOCK` letters through memos of their own.
 
 Machines derived from others keep only their reachable states, and one
 depth-first explorer, `explore`, finds them and numbers them in order of
@@ -340,13 +341,19 @@ def minimize_dfa(d: Dfa) -> Dfa:
 # One-way transducers
 
 # The most states a `SegmentWalk`'s state sets hold, and the most segments
-# it keeps; past either, its memos start over.  At 33 to 73 bytes a state
-# in a frozenset the first is 4 to 10 MB per transducer, and at about 700
-# bytes a segment the second about 90 MB.  One pass of both semantics over
-# the acceptance corpus (200 parsers, 127 words each) leaves 4,861 states,
-# at most 241 in one parser, and 2,436 segments.  Also the most window
-# runs a two-way transducer keeps: at 130 to 170 bytes a run, about 22 MB.
+# or entries of a block memo it keeps; past any, its memos start over.  At
+# 33 to 73 bytes a state in a frozenset the first is 4 to 10 MB per
+# transducer, at about 700 bytes a segment the second about 90 MB, and at
+# 150 and 300 bytes a block entry 20 and 40 MB.  One pass of both semantics
+# over the acceptance corpus (200 parsers, 127 words each) leaves 4,861
+# states, at most 241 in one parser, and 2,436 segments.  Also the most
+# window runs a two-way transducer keeps: at 130 to 170 bytes, 22 MB.
 COREACH_MEMO_STATES = 1 << 17
+
+# The letters of a block of a long word's walk for its only output.  Blocks
+# of 4 to 7 letters cut a long-words pass from 34 to 21-23 ms, 8 and 16 less
+# as long blocks over {a, b} rarely repeat (CHANGES.md).
+BLOCK = 6
 
 
 @dataclass
@@ -430,8 +437,13 @@ class SegmentWalk:
     worked out again with each configuration carrying its epsilon run,
     cutting a move back into the run, as a run-by-run walk would.
 
-    All memos start over once the state sets hold more than
-    COREACH_MEMO_STATES states or there are more segments than that.
+    On a word of `SWEEP_MIN_TAPE` letters or more the walk for the only
+    output takes its whole blocks of BLOCK letters through two more memos:
+    a block's start set under (end set, block), and its coded chunk and
+    exit node, or () for a refusal, under (entry node, end set, block),
+    exact as the sets inside a block follow from its end set.  All memos
+    start over once the state sets hold more than COREACH_MEMO_STATES
+    states or a memo of segments or blocks more entries than that.
     """
 
     def __init__(self, t: OneWayTransducer, code: dict):
@@ -453,6 +465,8 @@ class SegmentWalk:
         self.held = 0
         self.segments = {}
         self.interned = {}
+        self.block_sets = {}
+        self.block_steps = {}
 
     def decode(self, word) -> tuple:
         """The symbols of a coded output."""
@@ -470,15 +484,16 @@ class SegmentWalk:
 
     def _forget(self):
         for memo in (self.coreach_sets, self.forward_sets, self.segments,
-                     self.interned):
+                     self.interned, self.block_sets, self.block_steps):
             memo.clear()
         self.held = 0
 
-    def coreach(self, word) -> list:
-        """Co-reachable states per position, through the kept memo."""
+    def coreach(self, word, end=None) -> list:
+        """Co-reachable states per position, through the kept memo; after
+        the last letter `end`, by default the states that can stop."""
         (index, memo, letters) = (self.index, self.coreach_sets, self.letters)
         co = [None] * (len(word) + 1)
-        cur = co[-1] = self.end
+        cur = co[-1] = self.end if end is None else end
         for t in range(len(word) - 1, -1, -1):
             key = (cur, word[t])
             prev = memo.get(key)
@@ -515,15 +530,23 @@ class SegmentWalk:
         exact, because from a live node without such a cycle every branch
         ends in an output."""
         word = chars(word)
-        co = self.coreach(word)
-        if self.start.isdisjoint(co[0]):
+        (node, out) = (self.start, [])
+        if one and len(word) >= SWEEP_MIN_TAPE:
+            # the first m letters, m a multiple of BLOCK, a block at a time
+            m = len(word) // BLOCK * BLOCK
+            co = self.coreach(word[m:])
+            (out, node) = self._blocks(word[:m], co[0])
+            word = word[m:]
+        else:
+            co = self.coreach(word)
+        if node is None or node.isdisjoint(co[0]):
             return []
         # past the last letter the walk can only stop
         co.append(None)
         word = (*word, None)
-        seg, found, out = self.segments, [], []
+        seg, found = self.segments, []
         # pending branches: (position, node, prefix length, own output)
-        (t, node, stack) = (0, self.start, [])
+        (t, stack) = (0, [])
         while True:
             # a stop, the only branch with no next node, ends the word
             for t in range(t, len(word)):
@@ -551,6 +574,52 @@ class SegmentWalk:
             (t, node, depth, chunk) = stack.pop()
             del out[depth:]
             out.append(chunk)
+
+    def _blocks(self, word, cur):
+        """The walk for the only output through the blocks of `word`, with
+        `cur` the co-reach set after them: (chunks, node), or node None
+        where the word is outside the domain or the walk refuses."""
+        (sets, steps, ends) = (self.block_sets, self.block_steps, [])
+        blocks = [word[i:i + BLOCK] for i in range(0, len(word), BLOCK)]
+        for b in reversed(blocks):
+            ends.append(cur)
+            prev = sets.get((cur, b))
+            cur = prev if prev is not None else self._keep(
+                sets, (cur, b), self.coreach(b, cur)[0])
+        (node, out) = (self.start, [])
+        if node.isdisjoint(cur):
+            return (out, None)
+        for b in blocks:
+            key = (node, ends.pop(), b)
+            step = steps.get(key)
+            if step is None:
+                step = self._keep(steps, key, self._block(*key))
+            if not step:
+                return (out, None)
+            out.append(step[0])
+            node = step[1]
+        return (out, node)
+
+    def _block(self, node, there, block):
+        """A block's step, letter by letter through sets and segments."""
+        (co, seg, out) = (self.coreach(block, there), self.segments, [])
+        for (t, a) in enumerate(block):
+            step = seg.get((node, co[t + 1], a))
+            if step is None:
+                step = self._keep(seg, (node, co[t + 1], a), self._segment(
+                    node, co[t], co[t + 1], a, True))
+            if len(step) != 2:
+                return ()
+            out.append(step[0])
+            node = step[1]
+        return ("".join(out), node)
+
+    def _keep(self, memo, key, value):
+        """`value`, stored under `key` in a memo kept to the cap."""
+        memo[key] = value
+        if len(memo) > COREACH_MEMO_STATES:
+            self._forget()
+        return value
 
     def _segment(self, node, here, there, a, one=False, runs=False):
         """The segment from `node` inside the co-reach set `here` into

@@ -26,7 +26,8 @@ over sets of co-reachable configurations sharing one output prefix yields
 the word's parsing exactly when it has no other.  Both passes are the
 parser's own segment walk (`machines.SegmentWalk`), memoized across words
 and shared with relational evaluation, so a word costs two dictionary
-lookups per letter once its segments are known.  The paper's selection,
+lookups per letter once its segments are known, and a long word two per
+block of `machines.BLOCK` letters.  The paper's selection,
 kept as `UniformParser.parse`, picks at each step the first co-reachable
 transition in construction order (falling back to the next one only if the
 greedy choice closes a cycle), so it is deterministic and returns exactly
@@ -312,9 +313,8 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
             return total, total
         if h.kind in (KSTAR, KSTAR_REV):
             parser = build_parser(h, sigma)
-            dom = minimize_dfa(determinize(parser.underlying_nfa()))
-            multi = determinize(build_functionality_checker(parser, sigma))
-            return dom, minimize_dfa(dfa_difference(dom, multi))
+            return _checked_domains(
+                parser, build_functionality_checker(parser, sigma))
         (df, uf) = pair(h.left)
         if h.kind in (STAR, STAR_REV):
             dom = minimize_dfa(_star_dfa(df))
@@ -337,6 +337,12 @@ def domain_dfas(h: LabeledExpr, sigma: str) -> tuple[Dfa, Dfa]:
         raise ValueError(h.kind)
 
     return pair(h)
+
+
+def _checked_domains(parser: OneWayTransducer, checker: Nfa):
+    """dom and udom of a parser's expression, udom as dom minus L(B)."""
+    dom = minimize_dfa(determinize(parser.underlying_nfa()))
+    return dom, minimize_dfa(dfa_difference(dom, determinize(checker)))
 
 
 def _cat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
@@ -449,6 +455,9 @@ class Pipeline:
 
     @cached_property
     def domains(self) -> tuple[Dfa, Dfa]:
+        # a chained star at the root reads the pipeline's parser and checker
+        if self.expr.kind in (KSTAR, KSTAR_REV):
+            return _checked_domains(self.parser, self.checker)
         return domain_dfas(self.expr, self.sigma)
 
     @cached_property

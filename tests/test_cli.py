@@ -9,7 +9,7 @@ from rtec.cli import main
 import pytest
 
 from rtec.expr import MAX_NESTING, MAX_TREE_DEPTH
-from rtec.machines import enumerate_outputs
+from rtec.machines import enumerate_outputs, to_json_dict
 
 from conftest import SIGMA, deep_texts, mk, nested_factors, words_upto
 
@@ -226,6 +226,28 @@ def test_dump_builds_only_the_machine_it_prints(capsys, monkeypatch):
     assert main(args + ["checker"]) == 0
     assert json.loads(capsys.readouterr().out)["type"] == "nfa"
     assert len(calls) == 1
+
+
+def test_compile_builds_a_root_chained_star_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # the domain automata of a chained star at the root read the pipeline's
+    # own parser and checker B, and equal those `domain_dfas` builds
+    text = 'kstar{3, a+b}(((a+b)(a+b)(a+b) -> "c") . rev)'
+    (dom, udom) = pipeline.domain_dfas(mk(text), SIGMA)
+    want = {"dom.json": dom,
+            "acceptor.json": pipeline.build_unambiguity_acceptor(dom, udom)}
+    calls = []
+    for name in ("build_parser", "build_functionality_checker"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, name=name,
+                            real=real: calls.append(name) or real(*args))
+    rc = main(["compile", "--expr", text, "--sigma", SIGMA, "--gamma", "c",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert sorted(calls) == ["build_functionality_checker", "build_parser"]
+    for (name, m) in want.items():
+        assert (tmp_path / name).read_text() == json.dumps(to_json_dict(m),
+                                                           indent=1)
 
 
 def test_dump_parser_base_counts(capsys):

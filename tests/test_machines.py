@@ -862,3 +862,73 @@ def test_coded_outputs_decode_round_trip():
     assert [walker.decode(s) for s in ("", "\x01", "\x02\x01")] == [
         (), (A,), (B, A)]
     assert walker.outputs("ba") == ["\x02\x01"]
+
+
+# ---------------------------------------------------------------------------
+# Block walks: on a long word the walk for the only output takes whole
+# blocks of machines.BLOCK letters through memos
+
+def letter_walk(walker, word):
+    """outputs(word, True) with the block gate above the word's length."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machines, "SWEEP_MIN_TAPE", len(word) + 1)
+        return walker.outputs(word, True)
+
+
+def block_variants(w):
+    """Prefixes of w at the gate and at lengths m * BLOCK + r past it for
+    every r, w itself, and a foreign letter z in the first block, the last
+    whole block and the tail of w and of its prefix one past the gate."""
+    (k, gate) = (machines.BLOCK, machines.SWEEP_MIN_TAPE)
+    words = [w[:n] for n in range(gate - 1, gate + k + 1)] + [w]
+    for v in (w, w[:gate + 1]):
+        n = len(v) // k * k
+        for i in (2, n - 3) + ((len(v) - 1,) if n < len(v) else ()):
+            words.append(v[:i] + "z" + v[i + 1:])
+    return words
+
+
+def assert_block_walk_matches(walker, words):
+    """Each word's block walk against its letter walk in the same walker;
+    the number of words with an output."""
+    unique = 0
+    for w in words:
+        got = walker.outputs(w, True)
+        assert got == letter_walk(walker, w), w
+        unique += bool(got)
+    return unique
+
+
+def test_block_walk_matches_letter_walk():
+    rng = random.Random(23)
+    (k, gate) = (machines.BLOCK, machines.SWEEP_MIN_TAPE)
+    assert gate % k  # words at the gate end in a tail
+    unique = tails = 0
+    for pl in corpus_pipelines():
+        found = random_parsing(pl.parser, rng, gate)
+        if found is not None:
+            words = block_variants(found[0])
+            tails += sum(len(w) % k > 0 for w in words)
+            unique += assert_block_walk_matches(pl.parser.walker, words)
+    assert unique >= 600 and tails >= 1500
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        for n in (gate + 50, 1000):
+            w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
+            words = block_variants(w)
+            assert_block_walk_matches(pl.parser.walker, words)
+            for v in words:
+                if "z" not in v:
+                    assert pl.run_unambiguous(v) == value(v), (text, v)
+    # long words ambiguous only after their last b: the walk refuses in a
+    # late block or in the tail, and words ending in b have one output
+    pl = build_pipeline(mk('((a+b)*b -> "x") . ((aa* -> "c") + (aa* -> "d"))'
+                           ' + ((a+b)*b -> "y")'), SIGMA)
+    walker = pl.parser.walker
+    u = "".join(rng.choice("ab") for _ in range(gate)) + "b"
+    words = [u[:n] + "b" + "a" * j for n in range(gate, gate + k)
+             for j in range(2 * k + 1)]
+    assert assert_block_walk_matches(walker, words) == k
+    assert () in walker.block_steps.values()
+    assert all(pl.run_unambiguous(w) == (None if w[-1] == "a" else "y")
+               for w in words)

@@ -224,6 +224,43 @@ def test_walker_memos_stay_under_their_cap(monkeypatch):
             assert held == walker.held <= cap, (pretty(e), w)
             assert len(walker.segments) <= cap, (pretty(e), w)
     assert cleared and segments_cleared
+    # long words take blocks: under a cap that a co-reach set of these
+    # parsers fits in, both block memos fill, stay at or below it and start
+    # over with the others, and the values stay exact
+    cap = 60
+    monkeypatch.setattr(machines, "COREACH_MEMO_STATES", cap)
+    rng = random.Random(23)
+    sets_held = blocks_cleared = 0
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        walker = pl.parser.walker
+        for n in (machines.SWEEP_MIN_TAPE, 300, 301, 700):
+            w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
+            before = len(walker.block_steps)
+            assert pl.run_unambiguous(w) == value(w), (text, n)
+            blocks_cleared += len(walker.block_steps) < before
+            sets_held += len(walker.block_sets) > 0
+            assert len(walker.block_sets) <= cap, (text, n)
+            assert len(walker.block_steps) <= cap, (text, n)
+        assert walker.block_steps
+        walker._forget()
+        assert walker.block_sets == {} == walker.block_steps
+    assert sets_held and blocks_cleared
+
+
+def test_short_words_take_no_block():
+    # one unambiguous pass over the acceptance corpus, all words up to
+    # length 6, stays below the block gate and fills no block memo
+    (words, segments) = (words_upto(6), 0)
+    assert len(words) == 127
+    for e in generate():
+        pl = build_pipeline(label_occurrences(e), SIGMA)
+        for w in words:
+            pl.run_unambiguous(w)
+        walker = pl.uniformizer.walker
+        segments += len(walker.segments)
+        assert walker.block_sets == {} == walker.block_steps, pretty(e)
+    assert segments > 1000
 
 
 def test_shared_walker_matches_fresh_parsers():
