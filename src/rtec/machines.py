@@ -19,8 +19,9 @@ coded already, so the run hashes no symbol.
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
 `enumerate_outputs`, or the only one for the uniformizer's `unique`.  Both
-read the same co-reach sets and the same segments; on a long word, the walk
-for the only one takes blocks of `BLOCK` letters through memos of their own.
+read the same co-reach sets and the same segments, and on a long word the
+same blocks of `BLOCK` letters, memoized too, up to the first block that
+branches.
 
 Machines derived from others keep only their reachable states, and one
 depth-first explorer, `explore`, finds them and numbers them in order of
@@ -350,7 +351,7 @@ def minimize_dfa(d: Dfa) -> Dfa:
 # window runs a two-way transducer keeps: at 130 to 170 bytes, 22 MB.
 COREACH_MEMO_STATES = 1 << 17
 
-# The letters of a block of a long word's walk for its only output.  Blocks
+# The letters of a block of a long word's walks.  Blocks
 # of 4 to 7 letters cut a long-words pass from 34 to 21-23 ms, 8 and 16 less
 # as long blocks over {a, b} rarely repeat (CHANGES.md).
 BLOCK = 6
@@ -437,13 +438,15 @@ class SegmentWalk:
     worked out again with each configuration carrying its epsilon run,
     cutting a move back into the run, as a run-by-run walk would.
 
-    On a word of `SWEEP_MIN_TAPE` letters or more the walk for the only
-    output takes its whole blocks of BLOCK letters through two more memos:
-    a block's start set under (end set, block), and its coded chunk and
-    exit node, or () for a refusal, under (entry node, end set, block),
-    exact as the sets inside a block follow from its end set.  All memos
-    start over once the state sets hold more than COREACH_MEMO_STATES
-    states or a memo of segments or blocks more entries than that.
+    On a word of `SWEEP_MIN_TAPE` letters or more both walks take its
+    whole blocks of BLOCK letters through two more memos: a block's start
+    set under (end set, block), and its coded chunk and exit node, or ()
+    at a segment of other than one branch or with a live cycle, under
+    (entry node, end set, block), exact as the sets inside a block follow
+    from its end set.  At a () block the walk for the only output refuses
+    and that for all goes on letter by letter.  All memos start over once
+    the state sets hold more than COREACH_MEMO_STATES states or a memo of
+    segments or blocks more entries than that.
     """
 
     def __init__(self, t: OneWayTransducer, code: dict):
@@ -528,18 +531,23 @@ class SegmentWalk:
         it has none or more than one: the walk refuses at the first segment
         with other than one branch or with a live epsilon cycle.  That is
         exact, because from a live node without such a cycle every branch
-        ends in an output."""
+        ends in an output.  A long word's whole blocks are taken a block at
+        a time up to the first that branches."""
         word = chars(word)
         (node, out) = (self.start, [])
-        if one and len(word) >= SWEEP_MIN_TAPE:
+        if len(word) >= SWEEP_MIN_TAPE:
             # the first m letters, m a multiple of BLOCK, a block at a time
             m = len(word) // BLOCK * BLOCK
             co = self.coreach(word[m:])
-            (out, node) = self._blocks(word[:m], co[0])
-            word = word[m:]
+            (out, node, p) = self._blocks(word[:m], co[0], one)
+            if node is None:
+                return []
+            if p < m:
+                co[:1] = self.coreach(word[p:m], co[0])
+            word = word[p:]
         else:
             co = self.coreach(word)
-        if node is None or node.isdisjoint(co[0]):
+        if node.isdisjoint(co[0]):
             return []
         # past the last letter the walk can only stop
         co.append(None)
@@ -575,34 +583,41 @@ class SegmentWalk:
             del out[depth:]
             out.append(chunk)
 
-    def _blocks(self, word, cur):
-        """The walk for the only output through the blocks of `word`, with
-        `cur` the co-reach set after them: (chunks, node), or node None
-        where the word is outside the domain or the walk refuses."""
+    def _blocks(self, word, cur, one):
+        """The walk through the blocks of `word`, with `cur` the co-reach
+        set after them, up to the first block with a segment of other than
+        one branch or with a live cycle: (chunks, node, position of that
+        block or len(word)), node None where the word is outside the domain
+        or, with `one`, the walk refuses."""
         (sets, steps, ends) = (self.block_sets, self.block_steps, [])
         blocks = [word[i:i + BLOCK] for i in range(0, len(word), BLOCK)]
+        kept = {}  # the letters' sets of blocks the backward pass missed
         for b in reversed(blocks):
             ends.append(cur)
             prev = sets.get((cur, b))
-            cur = prev if prev is not None else self._keep(
-                sets, (cur, b), self.coreach(b, cur)[0])
+            if prev is None:
+                co = kept[(cur, b)] = self.coreach(b, cur)
+                prev = self._keep(sets, (cur, b), co[0])
+            cur = prev
         (node, out) = (self.start, [])
         if node.isdisjoint(cur):
-            return (out, None)
-        for b in blocks:
+            return (out, None, 0)
+        for (i, b) in enumerate(blocks):
             key = (node, ends.pop(), b)
             step = steps.get(key)
             if step is None:
-                step = self._keep(steps, key, self._block(*key))
+                co = kept.get(key[1:]) or self.coreach(b, key[1])
+                step = self._keep(steps, key, self._block(node, co, b))
             if not step:
-                return (out, None)
+                return (out, None if one else node, i * BLOCK)
             out.append(step[0])
             node = step[1]
-        return (out, node)
+        return (out, node, len(word))
 
-    def _block(self, node, there, block):
-        """A block's step, letter by letter through sets and segments."""
-        (co, seg, out) = (self.coreach(block, there), self.segments, [])
+    def _block(self, node, co, block):
+        """A block's step, letter by letter through segments, with `co` the
+        block's co-reach sets."""
+        (seg, out) = (self.segments, [])
         for (t, a) in enumerate(block):
             step = seg.get((node, co[t + 1], a))
             if step is None:

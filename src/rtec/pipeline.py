@@ -27,7 +27,8 @@ the word's parsing exactly when it has no other.  Both passes are the
 parser's own segment walk (`machines.SegmentWalk`), memoized across words
 and shared with relational evaluation, so a word costs two dictionary
 lookups per letter once its segments are known, and a long word two per
-block of `machines.BLOCK` letters.  The paper's selection,
+block of `machines.BLOCK` letters, under both semantics up to the first
+block where its parsings branch.  The paper's selection,
 kept as `UniformParser.parse`, picks at each step the first co-reachable
 transition in construction order (falling back to the next one only if the
 greedy choice closes a cycle), so it is deterministic and returns exactly

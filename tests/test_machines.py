@@ -865,14 +865,32 @@ def test_coded_outputs_decode_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Block walks: on a long word the walk for the only output takes whole
-# blocks of machines.BLOCK letters through memos
+# Block walks: on a long word both walks take whole blocks of
+# machines.BLOCK letters through memos, up to the first block that branches
 
-def letter_walk(walker, word):
-    """outputs(word, True) with the block gate above the word's length."""
+def letter_walk(walker, word, one=True):
+    """outputs(word, one), sorted, with the block gate above the word's
+    length."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machines, "SWEEP_MIN_TAPE", len(word) + 1)
-        return walker.outputs(word, True)
+        return sorted(walker.outputs(word, one))
+
+
+def output_count(walker, word):
+    """How many outputs the walk on `word` has, counted per node and
+    position through segments, not walked one by one."""
+    co = walker.coreach(word) + [None]
+    nodes = {} if walker.start.isdisjoint(co[0]) else {walker.start: 1}
+    stops = 0
+    for (t, a) in enumerate((*word, None)):
+        (now, nodes) = (nodes, {})
+        for (node, n) in now.items():
+            for nxt in walker._segment(node, co[t], co[t + 1], a)[1::2]:
+                if nxt is None:
+                    stops += n
+                else:
+                    nodes[nxt] = nodes.get(nxt, 0) + n
+    return stops
 
 
 def block_variants(w):
@@ -888,47 +906,75 @@ def block_variants(w):
     return words
 
 
-def assert_block_walk_matches(walker, words):
-    """Each word's block walk against its letter walk in the same walker;
-    the number of words with an output."""
-    unique = 0
+def assert_block_walk_matches(parser, words, most=16):
+    """Each word's block walks against its letter walks in the parser's
+    walker: the walk for the only output, and on words with at most `most`
+    outputs (others can have exponentially many) the walk for all of them
+    and enumerate_outputs' truncated flag.  (words with one output, words
+    with several)."""
+    (walker, unique, several) = (parser.walker, 0, 0)
     for w in words:
         got = walker.outputs(w, True)
         assert got == letter_walk(walker, w), w
         unique += bool(got)
-    return unique
+        if output_count(walker, w) > most:
+            continue
+        got = sorted(walker.outputs(w))
+        assert got == letter_walk(walker, w, False), w
+        several += len(got) > 1
+        truncated = enumerate_outputs(parser, w).truncated
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machines, "SWEEP_MIN_TAPE", len(w) + 1)
+            assert enumerate_outputs(parser, w).truncated == truncated, w
+    return (unique, several)
 
 
 def test_block_walk_matches_letter_walk():
     rng = random.Random(23)
     (k, gate) = (machines.BLOCK, machines.SWEEP_MIN_TAPE)
     assert gate % k  # words at the gate end in a tail
-    unique = tails = 0
+    unique = several = tails = 0
     for pl in corpus_pipelines():
         found = random_parsing(pl.parser, rng, gate)
         if found is not None:
             words = block_variants(found[0])
             tails += sum(len(w) % k > 0 for w in words)
-            unique += assert_block_walk_matches(pl.parser.walker, words)
-    assert unique >= 600 and tails >= 1500
+            (u, s) = assert_block_walk_matches(pl.parser, words)
+            (unique, several) = (unique + u, several + s)
+    assert unique >= 600 and several >= 100 and tails >= 1500
     for text, value in LONG_CASES:
         pl = build_pipeline(mk(text), SIGMA)
         for n in (gate + 50, 1000):
             w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
             words = block_variants(w)
-            assert_block_walk_matches(pl.parser.walker, words)
+            assert_block_walk_matches(pl.parser, words)
             for v in words:
                 if "z" not in v:
                     assert pl.run_unambiguous(v) == value(v), (text, v)
-    # long words ambiguous only after their last b: the walk refuses in a
+    # long words ambiguous only after their last b: the walks branch in a
     # late block or in the tail, and words ending in b have one output
     pl = build_pipeline(mk('((a+b)*b -> "x") . ((aa* -> "c") + (aa* -> "d"))'
                            ' + ((a+b)*b -> "y")'), SIGMA)
-    walker = pl.parser.walker
     u = "".join(rng.choice("ab") for _ in range(gate)) + "b"
     words = [u[:n] + "b" + "a" * j for n in range(gate, gate + k)
              for j in range(2 * k + 1)]
-    assert assert_block_walk_matches(walker, words) == k
-    assert () in walker.block_steps.values()
+    assert assert_block_walk_matches(pl.parser, words) == (
+        k, len(words) - k)
+    assert () in pl.parser.walker.block_steps.values()
     assert all(pl.run_unambiguous(w) == (None if w[-1] == "a" else "y")
+               for w in words)
+    assert all(pl.run_relational(w) == ({"xc", "xd"}, False)
+               for w in words if w[-1] == "a")
+    # long words whose first branch, at their first a, falls in the first
+    # block, inside a block, on either side of a block boundary, in the
+    # last whole block or in the tail; each has two outputs
+    pl = build_pipeline(mk('(b* -> "x") . ((a -> "c") + (a -> "d"))'
+                           ' . ((a+b)* -> "y")'), SIGMA)
+    n = gate // k * k + 2 * k + 2
+    v = "".join(rng.choice("ab") for _ in range(n))
+    firsts = (0, 3, k - 1, k, k + 1, 10 * k, n - n % k - 1, n - 2, n - 1)
+    words = ["b" * i + "a" + v[i + 1:] for i in firsts]
+    assert all(len(w) == n for w in words)
+    assert assert_block_walk_matches(pl.parser, words) == (0, len(words))
+    assert all(pl.run_relational(w) == ({"xcy", "xdy"}, False)
                for w in words)

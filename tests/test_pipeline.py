@@ -249,18 +249,41 @@ def test_walker_memos_stay_under_their_cap(monkeypatch):
 
 
 def test_short_words_take_no_block():
-    # one unambiguous pass over the acceptance corpus, all words up to
-    # length 6, stays below the block gate and fills no block memo
+    # one unambiguous and one relational pass over the acceptance corpus,
+    # all words up to length 6, stay below the block gate and fill no
+    # block memo
     (words, segments) = (words_upto(6), 0)
     assert len(words) == 127
     for e in generate():
         pl = build_pipeline(label_occurrences(e), SIGMA)
         for w in words:
             pl.run_unambiguous(w)
+            pl.run_relational(w)
         walker = pl.uniformizer.walker
         segments += len(walker.segments)
         assert walker.block_sets == {} == walker.block_steps, pretty(e)
     assert segments > 1000
+
+
+def test_walks_share_block_memos():
+    # on a long word the walks for all outputs and for the only one fill
+    # the same block entries, and after the one the other adds none
+    rng = random.Random(24)
+    for text, value in LONG_CASES:
+        pl = build_pipeline(mk(text), SIGMA)
+        walker = pl.parser.walker
+        for n in (machines.SWEEP_MIN_TAPE, 1000, 1003):
+            w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
+            walker._forget()
+            got = enumerate_outputs(pl.parser, w)
+            memos = (dict(walker.block_sets), dict(walker.block_steps))
+            assert memos[1], (text, n)
+            walker._forget()
+            assert pl.run_unambiguous(w) == value(w), (text, n)
+            assert (walker.block_sets, walker.block_steps) == memos
+            assert enumerate_outputs(pl.parser, w) == got, (text, n)
+            assert (walker.block_sets, walker.block_steps) == memos
+            assert pl.run_relational(w) == ({value(w)}, False), (text, n)
 
 
 def test_shared_walker_matches_fresh_parsers():
