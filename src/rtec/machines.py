@@ -7,14 +7,16 @@ the head moving in its own direction.  A run on w simulates on |- w -| from
 configuration (initial, boundary 0) and accepts in a final state once the
 whole tape, right endmarker included, has been consumed.
 
-On a tape of at least `SWEEP_MIN_TAPE` symbols, an untraced run takes each
-sweep, a self-loop that carries the head across a block in one state, as
-one regular expression search and one `str.translate` over the coded tape.
-All its other moves but the one a sweep stops at go through window runs
-memoized on the machine, keyed by the state and the codes around the head,
-which are all such a run reads.  So it costs Python steps per change of
-state or fewer, not per symbol.  A pipeline's walk hands its parsings over
-coded already, so the run hashes no symbol.
+A two-way run steps by lookup in the machine's move table, in one loop
+(`_steps`).  On a tape of at least `SWEEP_MIN_TAPE` symbols an untraced run
+takes each sweep, a self-loop that carries the head across a block in one
+state, as one regular expression search and one `str.translate` over the
+coded tape, from its state's sweep data.  The move a sweep stops at is a
+lookup; any other move starts a window run, the step loop over the codes
+around the head alone, memoized on the machine under the state and those
+codes.  So it costs Python steps per change of state or fewer, not per
+symbol.  A pipeline's walk hands its parsings over coded already, so the
+run hashes no symbol.
 
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
@@ -528,11 +530,12 @@ class SegmentWalk:
     def outputs(self, word, one=False) -> list:
         """The outputs on `word`, a str or a tuple of symbols, each as a
         coded string.  With `one`, the word's only output, or none when
-        it has none or more than one: the walk refuses at the first segment
-        with other than one branch or with a live epsilon cycle.  That is
-        exact, because from a live node without such a cycle every branch
-        ends in an output.  A long word's whole blocks are taken a block at
-        a time up to the first that branches."""
+        it has none or more than one: the walk is the one-branch step of
+        `_block` over the word and its stop, which refuses at the first
+        segment with other than one branch or with a live epsilon cycle.
+        That is exact, because from a live node without such a cycle every
+        branch ends in an output.  A long word's whole blocks are taken a
+        block at a time up to the first that branches."""
         word = chars(word)
         (node, out) = (self.start, [])
         if len(word) >= SWEEP_MIN_TAPE:
@@ -552,6 +555,9 @@ class SegmentWalk:
         # past the last letter the walk can only stop
         co.append(None)
         word = (*word, None)
+        if one:
+            step = self._block(node, co, word)
+            return ["".join(out) + step[0]] if step else []
         seg, found = self.segments, []
         # pending branches: (position, node, prefix length, own output)
         (t, stack) = (0, [])
@@ -561,14 +567,10 @@ class SegmentWalk:
                 key = (node, co[t + 1], word[t])
                 step = seg.get(key)
                 # () is a segment known only to refuse a unique walk
-                if step is None or not (step or one):
-                    step = seg[key] = self._segment(node, co[t], co[t + 1],
-                                                    word[t], one)
-                    if len(seg) > COREACH_MEMO_STATES:
-                        self._forget()
+                if not step:
+                    step = self._keep(seg, key, self._segment(
+                        node, co[t], co[t + 1], word[t]))
                 if len(step) != 2:
-                    if one:
-                        return []
                     depth = len(out)
                     stack += [(t + 1, nxt, depth, chunk) for (chunk, nxt)
                               in zip(step[0::2], step[1::2])]
@@ -616,7 +618,10 @@ class SegmentWalk:
 
     def _block(self, node, co, block):
         """A block's step, letter by letter through segments, with `co` the
-        block's co-reach sets."""
+        block's co-reach sets: (coded chunk, exit node), or () at a segment
+        of other than one branch or with a live cycle.  A last letter None
+        takes the stop, whose exit node is None; so the walk for the only
+        output is this step over the rest of its word."""
         (seg, out) = (self.segments, [])
         for (t, a) in enumerate(block):
             step = seg.get((node, co[t + 1], a))
@@ -625,8 +630,8 @@ class SegmentWalk:
                     node, co[t], co[t + 1], a, True))
             if len(step) != 2:
                 return ()
-            out.append(step[0])
-            node = step[1]
+            (chunk, node) = step
+            out.append(chunk)
         return ("".join(out), node)
 
     def _keep(self, memo, key, value):
@@ -759,32 +764,28 @@ class TwoWayTransducer:
 
     @cached_property
     def sweeps(self) -> tuple:
-        """(steps, loops, windows): what `run_two_way` reads in place of the
-        moves of `table` on a long tape, built on the first one and kept.
-        `steps` is those moves without the self-loops, and `loops` maps each
-        self-loop's key to (search, outs) of its state: `search` is the
-        bound search method of a compiled `[^...]` class of the codes the
-        state does not loop on, and `outs` the `str.translate` table from
-        each loop code to its output (None for an empty one), or None when
-        no loop of the state emits anything.  `windows` is the memo of
-        window runs, filled by the runs."""
+        """(loops, windows): what `run_two_way` reads besides `table` on a
+        long tape, built on the first one and kept.  `loops` maps each state
+        with a self-loop in `table` to (search, outs): `search` is the bound
+        search method of a compiled `[^...]` class of the codes the state
+        does not loop on, and `outs` the `str.translate` table from each
+        loop code to its output (None for an empty one), or None when no
+        loop of the state emits anything.  `windows` is the memo of window
+        runs, filled by the runs."""
         (_bases, moves, _multi) = self.table
         k = self.n_states
-        steps, outs = {}, {}
+        outs = {}
         for key, move in moves.items():
             if move[0] == key % k:
                 outs.setdefault(move[0], {})[key // k + 1] = move[1]
-            else:
-                steps[key] = move
-        sweep = {}
+        loops = {}
         for state, by_code in outs.items():
             cls = "".join(re.escape(chr(c)) for c in by_code)
             # None deletes a code; unlike "", it keeps translate's fast path
             tr = {c: o or None for c, o in by_code.items()}
-            sweep[state] = (re.compile("[^%s]" % cls).search,
+            loops[state] = (re.compile("[^%s]" % cls).search,
                             tr if any(tr.values()) else None)
-        loops = {key: sweep[key % k] for key in moves if key not in steps}
-        return steps, loops, {}
+        return loops, {}
 
 
 class Configuration(NamedTuple):
@@ -829,13 +830,13 @@ def run_two_way(t: TwoWayTransducer, word,
     a str of letters, a tuple of symbols, or a `Coded` string in `t.code`.
 
     A coded word is the tape as it is: the key bases come off its codes,
-    with no symbol hashed.  Steps by lookup in `t.table`.  An untraced run
-    on a tape of `SWEEP_MIN_TAPE` symbols or more, coded first if it is one
-    of symbols, takes self-loops by sweeps, the move a sweep stops at by
-    lookup and any other move by a window run memoized on the machine
-    (`_run_coded`), so it costs Python steps per change of state or fewer,
-    not per symbol.  A traced run steps, as its trace lists each
-    configuration anyway.  A run longer than the number of configurations,
+    with no symbol hashed.  A short or traced run steps by lookup in
+    `t.table` (`_steps`), as a trace lists each configuration anyway.  An
+    untraced run on a tape of `SWEEP_MIN_TAPE` symbols or more, coded first
+    if it is one of symbols, takes self-loops by sweeps, the move a sweep
+    stops at by lookup and any other move by a window run memoized on the
+    machine (`_run_long`), so it costs Python steps per change of state or
+    fewer, not per symbol.  A run longer than the number of configurations,
     n_states * (|w| + 3), counting every step a sweep or a window run
     passes, has repeated one and loops forever, so it stops there as
     "loop"; a configuration with more than one move raises MachineError.
@@ -869,32 +870,16 @@ def run_two_way(t: TwoWayTransducer, word,
     # keys, which the table never holds
     base = list(map(bases.get, tape, repeat(-k)))
     base.append(-k)
-    signs = t.signs
     state = t.initial
-    pos = _read_position(signs[state], 0) + off
+    pos = _read_position(t.signs[state], 0) + off
     trace = [Configuration(state, 0)] if want_trace else []
-    if off:
-        (state, pos, out, steps) = _run_coded(t, tape, base, state, pos,
-                                              bound, t.sweeps[2])
-        if steps >= bound:
-            return TwoWayResult("loop")
-    else:
-        out = []
-        for _ in range(bound):
-            move = table.get(base[pos] + state)
-            if move is None:
-                break
-            (state, o, d) = move
-            pos += d
-            if o:
-                out.append(o)
-            if want_trace:
-                trace.append(Configuration(state, pos + (signs[state] < 0)))
-        else:
-            # more steps than there are configurations with a move, k per
-            # tape position: the run has repeated one and never ends
-            return TwoWayResult("loop", None, trace)
-        out = "".join(out)
+    (state, pos, out, steps) = (
+        _run_long(t, tape, base, state, pos, bound) if off else
+        _steps(table, base, state, pos, bound, trace if want_trace else None))
+    if steps >= bound:
+        # more steps than there are configurations with a move, k per
+        # tape position: the run has repeated one and never ends
+        return TwoWayResult("loop", None, trace)
     # The run stopped in a configuration with no single move.  Only a +
     # state at position n, past the right endmarker, can accept, and there
     # it has no move.  A - state never reaches boundary n, as it would have
@@ -909,50 +894,77 @@ def run_two_way(t: TwoWayTransducer, word,
     return TwoWayResult("reject", None, trace)
 
 
-def _run_coded(t: TwoWayTransducer, s: str, base: list, state: int,
-               pos: int, limit: int, windows: dict | None = None) -> tuple:
-    """The untraced run on the coded string `s`, whose key bases are
-    `base`, from `state` reading index `pos` until the head leaves `s`, a
-    configuration has no single move, a sweep would leave `s` or `limit`
-    steps are taken: (state, pos, output, steps).
+def _steps(table: dict, base: list, state: int, pos: int, limit: int,
+           trace: list | None = None) -> tuple:
+    """The run from `state` reading index `pos` of a tape whose key bases
+    are `base`, one lookup in `table` per step, until a key has no single
+    move or `limit` steps are taken: (state, pos, output, steps).  Off the
+    tape, on either side, the extra -k entry at the end of `base` gives a
+    negative key, which has none.  With `trace`, each configuration the
+    run reaches is appended to it."""
+    out = []
+    for steps in range(limit):
+        move = table.get(base[pos] + state)
+        if move is None:
+            return state, pos, "".join(out), steps
+        (state, o, d) = move
+        pos += d
+        if o:
+            out.append(o)
+        if trace is not None:
+            trace.append(Configuration(state, pos + (d < 0)))
+    return state, pos, "".join(out), limit
+
+
+def _run_long(t: TwoWayTransducer, s: str, base: list, state: int,
+              pos: int, limit: int) -> tuple:
+    """The untraced run on the padded coded tape `s`, whose key bases are
+    `base`, from `state` reading index `pos` until a configuration has no
+    single move or `limit` steps are taken: (state, pos, output, steps).
 
     A self-loop move starts a sweep: one search of `s` (reversed for a -
     state) finds the first code the state does not loop on, the head jumps
     there, and one translate of the passed codes gives the output.  No
     loop class holds chr(0) or the code of a foreign or nondeterministic
     symbol, so each configuration a sweep skips has the loop as its one
-    move and lies on the tape, where it does not accept.  Other moves are
-    taken by lookup; with `windows`, the memo of window runs, only the one
-    a sweep stops at is, and any other takes the `_run_window` run of the
-    state and the 2 * WINDOW + 1 codes centred on the head.
+    move and lies on the tape, where it does not accept.  The move a sweep
+    stops at is taken by lookup.  Any other move takes the window run of
+    the state and the 2 * WINDOW + 1 codes centred on the head, memoized
+    on the machine: the `_steps` run on those codes alone, which reads
+    nothing else (Shepherdson 1959), up to where the head leaves them; a
+    loop that reaches their edge then sweeps on from there.  It is False
+    when it takes as many steps as the window has configurations with the
+    head still inside: it has repeated one and never ends.
     """
-    (table, loops, _windows) = t.sweeps
-    signs = t.signs
+    (_bases, table, _multi) = t.table
+    (loops, windows) = t.sweeps
+    # a window's codes and configurations, and the key base off its ends
+    width = 2 * WINDOW + 1
+    cap = t.n_states * width
+    outside = [-t.n_states]
     rev = s[::-1]
     last = len(s) - 1
     out = []
     steps = 0
     swept = False
-    while 0 <= pos <= last and steps < limit:
-        key = base[pos] + state
-        move = table.get(key)
+    # The head never leaves `s` and a sweep always finds a stop: the
+    # WINDOW chr(0) on each side have no move, and no loop class holds
+    # chr(0), so the run and each sweep stop in the padding at the latest.
+    while steps < limit:
+        move = table.get(base[pos] + state)
         if move is None:
-            sweep = loops.get(key)
-            if sweep is None:
-                break
-            (search, tr) = sweep
-            d = signs[state]
+            break
+        if move[0] == state:
+            (search, tr) = loops[state]
+            d = move[2]
             (x, i) = (s, pos) if d > 0 else (rev, last - pos)
-            stop = search(x, i + 1)
-            if stop is None:
-                break
-            m = stop.start() - i
+            m = search(x, i + 1).start() - i
             if tr is not None:
                 out.append(x[i:i + m].translate(tr))
             pos += m * d
             steps += m
             swept = True
-        elif swept or windows is None:
+        elif swept:
             (state, o, d) = move
             pos += d
             if o:
@@ -965,8 +977,11 @@ def _run_coded(t: TwoWayTransducer, s: str, base: list, state: int,
             if run is None:
                 if len(windows) >= COREACH_MEMO_STATES:
                     windows.clear()
-                run = windows[key] = _run_window(
-                    t, state, key[1], base[pos - WINDOW:pos + WINDOW + 1])
+                (q, p, o, m) = _steps(
+                    table, base[pos - WINDOW:pos + WINDOW + 1] + outside,
+                    state, WINDOW, cap)
+                run = windows[key] = False if m == cap and 0 <= p < width \
+                    else (q, p - WINDOW, o, m)
             if run is False:
                 return state, pos, None, limit
             (state, shift, o, m) = run
@@ -975,22 +990,6 @@ def _run_coded(t: TwoWayTransducer, s: str, base: list, state: int,
                 out.append(o)
             steps += m
     return state, pos, "".join(out), steps
-
-
-def _run_window(t: TwoWayTransducer, state: int, window: str, base: list):
-    """The run from `state` at the centre of `window`, whose key bases are
-    `base`, until the head leaves it, a configuration has no single move
-    or a sweep would leave it, as (state, head shift, output, steps); it
-    reads only the window's codes (Shepherdson 1959).  False when the run
-    repeats a configuration and so never ends: when it takes more steps
-    inside the window than the window has configurations, n_states per
-    code."""
-    limit = t.n_states * len(window)
-    (state, pos, out, steps) = _run_coded(t, window, base, state, WINDOW,
-                                          limit)
-    if steps >= limit and 0 <= pos < len(window):
-        return False
-    return (state, pos - WINDOW, out, steps)
 
 
 def audit_trace(t: TwoWayTransducer, word, trace) -> bool:

@@ -466,7 +466,7 @@ class Pipeline:
         return build_unambiguity_acceptor(*self.domains)
 
     def run_unambiguous(self, word: str):
-        found = self.uniformizer.walker.outputs(word, True)
+        found = self.parser.walker.outputs(word, True)
         if not found:
             return None
         res = run_two_way(self.evaluator, Coded(found[0]))

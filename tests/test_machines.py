@@ -622,15 +622,58 @@ def test_window_run_that_loops():
         m = TwoWayTransducer(3, [1, 1, -1], 0, frozenset(), delta,
                              frozenset({A, B, LEFT_END, RIGHT_END}))
         assert audited_long_run(m, w).status == "loop", w
-        assert False in m.sweeps[2].values(), w
+        assert False in m.sweeps[1].values(), w
+
+
+def test_window_run_leaves_through_a_loop():
+    # A move that is neither a loop nor taken after a sweep starts a window
+    # run, which steps on through the loop after it until the head leaves
+    # the window, rightwards in + state 2 and leftwards in - state 4; the
+    # run then sweeps on from there.
+    delta = {
+        (0, LEFT_END): [(1, "")],
+        (1, A): [(2, "z")],
+        (1, B): [(2, "y")],
+        (1, RIGHT_END): [(3, "")],
+        (2, A): [(2, "x")],
+        (2, B): [(1, "")],
+        (2, RIGHT_END): [(3, "")],
+        (3, A): [(4, "u")],
+        (3, B): [(4, "v")],
+        (4, A): [(4, "")],
+        (4, B): [(4, "w")],
+        (4, LEFT_END): [(5, "")],
+        (5, A): [(5, "")],
+        (5, B): [(5, "")],
+        (5, RIGHT_END): [(6, "!")],
+    }
+    rng = random.Random(25)
+    words = ["a" * 300, "a" * 299 + "b", "b" + "a" * 40 + "b" * 300]
+    for _ in range(6):
+        w = ""
+        while len(w) < 300:
+            w += "a" * rng.randrange(0, 40) + "b"
+        words.append(w)
+    for w in words:
+        m = TwoWayTransducer(7, [1, 1, 1, -1, -1, 1, 1], 0, frozenset({6}),
+                             delta, frozenset({A, B, LEFT_END, RIGHT_END}))
+        res = audited_long_run(m, w)
+        assert res.status == "accept", w
+        plain = stepwise(m, w)
+        assert (plain.status, plain.output) == (res.status, res.output)
+        left = {run[0] for run in m.sweeps[1].values()
+                if abs(run[1]) > machines.WINDOW}
+        assert {2, 4} <= left, w
 
 
 class LoggedWindows(dict):
-    """A window memo that logs the steps of each window run it gives."""
+    """A window memo that logs the steps of each window run it gives and
+    counts the runs worked out for it."""
 
     def __init__(self, log):
         super().__init__()
         self.log = log
+        self.misses = 0
 
     def get(self, key):
         run = super().get(key)
@@ -640,6 +683,7 @@ class LoggedWindows(dict):
 
     def __setitem__(self, key, run):
         super().__setitem__(key, run)
+        self.misses += 1
         if run:
             self.log.append(("window", run[3]))
 
@@ -651,19 +695,17 @@ def test_window_and_sweep_step_bounds():
     # sweeps.
     m = bouncer()
     log = []
-    (steps, loops, _windows) = m.sweeps
+    (loops, _windows) = m.sweeps
 
     def logged(search):
         def f(s, i):
             found = search(s, i)
-            if len(s) > 2 * machines.WINDOW + 1:
-                log.append(("sweep", found.start() - i + 1))
+            log.append(("sweep", found.start() - i + 1))
             return found
         return f
 
-    wrapped = {id(v): (logged(v[0]), v[1]) for v in loops.values()}
-    m.__dict__["sweeps"] = (steps, {key: wrapped[id(v)]
-                                    for (key, v) in loops.items()},
+    m.__dict__["sweeps"] = ({state: (logged(search), tr)
+                             for (state, (search, tr)) in loops.items()},
                             LoggedWindows(log))
     falls = set()
     for i in range(300, 304):
@@ -734,22 +776,22 @@ def test_window_memo_cap(monkeypatch):
     # with a memo cap of 8 runs, the memo starts over many times and the
     # results stay those of the step-by-step run
     monkeypatch.setattr(machines, "COREACH_MEMO_STATES", 8)
-    misses = []
-    run_window = machines._run_window
-    monkeypatch.setattr(machines, "_run_window",
-                        lambda *args: misses.append(1) or run_window(*args))
+    misses = 0
     rng = random.Random(21)
     for text, value in LONG_CASES:
         pl = build_pipeline(mk(text), SIGMA)
         evaluator = fresh(pl.evaluator)
+        windows = LoggedWindows([])
+        evaluator.__dict__["sweeps"] = (evaluator.sweeps[0], windows)
         for n in (300, 600):
             w = "".join(rng.choice("ab") for _ in range(n - 1)) + "b"
             for al in pl.parser.walker.outputs(w):
                 syms = pl.parser.walker.decode(al)
                 res = run_two_way(evaluator, syms)
                 assert (res.status, res.output) == ("accept", value(w))
-                assert len(evaluator.sweeps[2]) <= 8
-    assert len(misses) > 3 * 8
+                assert len(windows) <= 8
+        misses += windows.misses
+    assert misses > 3 * 8
 
 
 # ---------------------------------------------------------------------------
