@@ -1,7 +1,7 @@
 """Diff the runtime results of two trees of rtec: a git revision and the
 working tree, or the working tree against itself.
 
-    python tools/parent_diff.py [REV] [--section NAME] [--small]
+    python tools/parent_diff.py [REV] [--small]
 
 REV is any revision git names, such as HEAD~1; it is exported with `git
 archive` into a temporary directory.  Without REV both sides are the
@@ -71,7 +71,7 @@ def build_jobs(small: bool) -> dict:
                             corpus.exprs[0].sigma, 3 if small else 4)}}
 
 
-def emit(jobs: dict, sections, out) -> None:
+def emit(jobs: dict, out) -> None:
     """One side: run the jobs on the rtec found first on sys.path and
     write the canonical result lines to `out`."""
     import rtec
@@ -94,31 +94,27 @@ def emit(jobs: dict, sections, out) -> None:
                              separators=(",", ":")) + "\n")
 
     line("from", os.path.dirname(rtec.__file__))
-    if "runs" in sections:
-        for (name, seed, i, word) in jobs["runs"]:
+    for (name, seed, i, word) in jobs["runs"]:
+        pl = pipeline(i)
+        (values, truncated) = pl.run_relational(word)
+        line("runs", name, seed, i, word, pl.run_unambiguous(word),
+             sorted(values), truncated)
+    gate = machines.SWEEP_MIN_TAPE
+    for g in GATES:
+        machines.SWEEP_MIN_TAPE = g
+        for i in jobs["two_way"]["exprs"]:
             pl = pipeline(i)
-            (values, truncated) = pl.run_relational(word)
-            line("runs", name, seed, i, word, pl.run_unambiguous(word),
-                 sorted(values), truncated)
-    if "two_way" in sections:
-        gate = machines.SWEEP_MIN_TAPE
-        for g in GATES:
-            machines.SWEEP_MIN_TAPE = g
-            for i in jobs["two_way"]["exprs"]:
-                pl = pipeline(i)
-                walker = pl.parser.walker
-                for word in jobs["two_way"]["words"]:
-                    parsings = sorted(([render(s) for s in walker.decode(al)],
-                                       al) for al in walker.outputs(word))
-                    for (syms, al) in parsings:
-                        res = machines.run_two_way(pl.evaluator, Coded(al),
-                                                   True)
-                        plain = machines.run_two_way(pl.evaluator, Coded(al))
-                        line("two_way", g, i, word, syms,
-                             res.status, res.output,
-                             [list(c) for c in res.trace],
-                             plain.status, plain.output)
-        machines.SWEEP_MIN_TAPE = gate
+            walker = pl.parser.walker
+            for word in jobs["two_way"]["words"]:
+                parsings = sorted(([render(s) for s in walker.decode(al)], al)
+                                  for al in walker.outputs(word))
+                for (syms, al) in parsings:
+                    res = machines.run_two_way(pl.evaluator, Coded(al), True)
+                    plain = machines.run_two_way(pl.evaluator, Coded(al))
+                    line("two_way", g, i, word, syms,
+                         res.status, res.output, [list(c) for c in res.trace],
+                         plain.status, plain.output)
+    machines.SWEEP_MIN_TAPE = gate
 
 
 def export(rev: str, into: Path) -> Path:
@@ -157,16 +153,13 @@ def main(argv=None) -> int:
     ap.add_argument("rev", nargs="?",
                     help="revision to diff against (default: the working "
                          "tree itself)")
-    ap.add_argument("--section", choices=SECTIONS, action="append",
-                    help="a section to run (default: all)")
     ap.add_argument("--small", action="store_true",
                     help="run a small slice of the jobs")
     ap.add_argument("--emit", metavar="JOBS", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    sections = args.section or list(SECTIONS)
     if args.emit:
         with open(args.emit) as fh:
-            emit(json.load(fh), sections, sys.stdout)
+            emit(json.load(fh), sys.stdout)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -178,7 +171,6 @@ def main(argv=None) -> int:
                        PYTHONPATH=str(root / "src"))
             cmd = [sys.executable, str(Path(__file__).resolve()),
                    "--emit", str(tmp / "jobs.json")]
-            cmd += ["--section=%s" % s for s in sections]
             with open(tmp / (side + ".jsonl"), "w") as fh:
                 procs.append(subprocess.Popen(cmd, env=env, stdout=fh))
         if any([p.wait() for p in procs]):
@@ -189,7 +181,7 @@ def main(argv=None) -> int:
     for (side, found) in zip(("old", "new"), lines):
         print("%s: rtec from %s" % (side, json.loads(found[0])[1]))
     bad = 0
-    for name in sections:
+    for name in SECTIONS:
         (old, new) = ([ln for ln in side if ln.startswith('["%s"' % name)]
                       for side in lines)
         bad += compare(name, old, new)
