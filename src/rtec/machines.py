@@ -7,16 +7,18 @@ the head moving in its own direction.  A run on w simulates on |- w -| from
 configuration (initial, boundary 0) and accepts in a final state once the
 whole tape, right endmarker included, has been consumed.
 
-A two-way run steps by lookup in the machine's move table, in one loop
-(`_steps`).  On a tape of at least `SWEEP_MIN_TAPE` symbols an untraced run
-takes each sweep, a self-loop that carries the head across a block in one
-state, as one regular expression search and one `str.translate` over the
-coded tape, from its state's sweep data.  The move a sweep stops at is a
-lookup; any other move starts a window run, the step loop over the codes
-around the head alone, memoized on the machine under the state and those
-codes.  So it costs Python steps per change of state or fewer, not per
-symbol.  A pipeline's walk hands its parsings over coded already, so the
-run hashes no symbol.
+A two-way run steps through the machine's dense move table, a list with one
+row of |code| + 1 slots per state, one column per code and column 0 for no
+symbol.  The tape becomes a list of columns, the run's state a row, and each
+step one list index, in one loop (`_steps`).  On a tape of at least
+`SWEEP_MIN_TAPE` symbols an untraced run takes each sweep, a self-loop that
+carries the head across a block in one state, as one regular expression
+search and one `str.translate` over the coded tape, from its state's sweep
+data.  The move a sweep stops at is a lookup; any other move starts a window
+run, the step loop over the codes around the head alone, memoized on the
+machine under the row and those codes.  So it costs Python steps per change
+of state or fewer, not per symbol.  A pipeline's walk hands its parsings over
+coded already, so the run hashes no symbol.
 
 A one-way transducer's outputs on a word come from one forward walk over
 memoized segments (`SegmentWalk`), kept on the transducer: all of them for
@@ -737,54 +739,63 @@ class TwoWayTransducer:
 
     @cached_property
     def table(self) -> tuple:
-        """(bases, moves, multi): the symbol of code chr(i + 1) and the code
-        have the base i * n_states; `moves` holds the single moves of delta
-        keyed by base + state, each as (dst, out, sign of dst), which is how
-        far the read position moves, and `multi` the symbol of each key with
-        more moves.  Built on the first run and kept, like `sweeps` on the
-        first long tape; delta must not change after that."""
-        (k, codes) = (self.n_states, self.code)
-        bases = {}
+        """(index, moves, multi, width): the dense, state-major move table.
+        `table` first gives each symbol delta reads outside the alphabet a
+        code after the others, then `width` is len(code) + 1.  `index` maps
+        each symbol and each code to its column, the code's number i for
+        chr(i); column 0 is no symbol.  `moves` has width slots per state:
+        the single move of delta on (state, symbol) sits at the row
+        state * width plus the symbol's column, as (dst * width, out, sign
+        of dst), the next row and how far the read position moves; every
+        other slot, column 0 included, is None.  `multi` holds the symbol of
+        each slot with more moves.  So the table costs n_states * width
+        slots, 8 bytes each, whatever the number of moves: 1.07 M for the
+        evaluator of `prefix_sum(299)`, 2.91 M in place of a dict of 2.16 M
+        moves for that of `kstar{200, ...}` (README).  Built on the first
+        run and kept, like `sweeps` on the first long tape; delta must not
+        change after that."""
+        codes = self.code
+        for (_state, sym) in self.delta:
+            if sym not in codes:
+                codes[sym] = chr(len(codes) + 1)
+        width = len(codes) + 1
+        index = {}
         for (sym, c) in codes.items():
-            bases[sym] = bases[c] = (ord(c) - 1) * k
-        moves, multi = {}, {}
+            index[sym] = index[c] = ord(c)
+        moves, multi = [None] * (self.n_states * width), {}
         shared = {}  # many moves share one entry, such as a scan's loop
         for (state, sym), ms in self.delta.items():
-            b = bases.get(sym)
-            if b is None:
-                codes[sym] = c = chr(len(codes) + 1)
-                b = bases[sym] = bases[c] = (len(codes) - 1) * k
+            at = state * width + index[sym]
             if len(ms) == 1:
                 (dst, out) = ms[0]
-                move = (dst, out, self.signs[dst])
-                moves[b + state] = shared.setdefault(move, move)
+                move = (dst * width, out, self.signs[dst])
+                moves[at] = shared.setdefault(move, move)
             elif ms:
-                multi[b + state] = sym
-        return bases, moves, multi
+                multi[at] = sym
+        return index, moves, multi, width
 
     @cached_property
     def sweeps(self) -> tuple:
         """(loops, windows): what `run_two_way` reads besides `table` on a
-        long tape, built on the first one and kept.  `loops` maps each state
-        with a self-loop in `table` to (search, outs): `search` is the bound
-        search method of a compiled `[^...]` class of the codes the state
-        does not loop on, and `outs` the `str.translate` table from each
-        loop code to its output (None for an empty one), or None when no
-        loop of the state emits anything.  `windows` is the memo of window
-        runs, filled by the runs."""
-        (_bases, moves, _multi) = self.table
-        k = self.n_states
+        long tape, built on the first one and kept.  `loops` maps the row
+        of each state with a self-loop in delta to (search, outs): `search`
+        is the bound search method of a compiled `[^...]` class of the codes
+        the state does not loop on, and `outs` the `str.translate` table
+        from each loop code to its output (None for an empty one), or None
+        when no loop of the state emits anything.  `windows` is the memo of
+        window runs, filled by the runs."""
+        (index, _moves, _multi, width) = self.table
         outs = {}
-        for key, move in moves.items():
-            if move[0] == key % k:
-                outs.setdefault(move[0], {})[key // k + 1] = move[1]
+        for (state, sym), ms in self.delta.items():
+            if len(ms) == 1 and ms[0][0] == state:
+                outs.setdefault(state, {})[index[sym]] = ms[0][1]
         loops = {}
         for state, by_code in outs.items():
             cls = "".join(re.escape(chr(c)) for c in by_code)
             # None deletes a code; unlike "", it keeps translate's fast path
             tr = {c: o or None for c, o in by_code.items()}
-            loops[state] = (re.compile("[^%s]" % cls).search,
-                            tr if any(tr.values()) else None)
+            loops[state * width] = (re.compile("[^%s]" % cls).search,
+                                    tr if any(tr.values()) else None)
         return loops, {}
 
 
@@ -829,23 +840,26 @@ def run_two_way(t: TwoWayTransducer, word,
     """Simulate the deterministic machine t on |- word -|, where `word` is
     a str of letters, a tuple of symbols, or a `Coded` string in `t.code`.
 
-    A coded word is the tape as it is: the key bases come off its codes,
-    with no symbol hashed.  A short or traced run steps by lookup in
-    `t.table` (`_steps`), as a trace lists each configuration anyway.  An
-    untraced run on a tape of `SWEEP_MIN_TAPE` symbols or more, coded first
-    if it is one of symbols, takes self-loops by sweeps, the move a sweep
-    stops at by lookup and any other move by a window run memoized on the
-    machine (`_run_long`), so it costs Python steps per change of state or
-    fewer, not per symbol.  A run longer than the number of configurations,
-    n_states * (|w| + 3), counting every step a sweep or a window run
-    passes, has repeated one and loops forever, so it stops there as
-    "loop"; a configuration with more than one move raises MachineError.
-    Acceptance needs a final state with the whole tape, right endmarker
-    included, consumed.  Status and output are those of the step-by-step
-    run.
+    The tape becomes the list of its columns in `t.table`, one `index`
+    lookup per symbol or code, with one 0 appended; a coded word is the
+    tape as it is, with no symbol hashed.  Column 0 is no symbol and holds
+    no move: both off-tape positions, -1 and n, read it from that last
+    entry, and so do the chr(0) padding, a symbol outside the alphabet and
+    a code of none.  A short or traced run steps by one list index per
+    step (`_steps`), as a trace lists each configuration anyway.
+    An untraced run on a tape of `SWEEP_MIN_TAPE` symbols or more, coded
+    first if it is one of symbols, takes self-loops by sweeps, the move a
+    sweep stops at by lookup and any other move by a window run memoized
+    on the machine (`_run_long`), so it costs Python steps per change of
+    state or fewer, not per symbol.  A run longer than the number of
+    configurations, n_states * (|w| + 3), counting every step a sweep or a
+    window run passes, has repeated one and loops forever, so it stops
+    there as "loop"; a configuration with more than one move raises
+    MachineError.  Acceptance needs a final state with the whole tape,
+    right endmarker included, consumed.  Status and output are those of
+    the step-by-step run.
     """
-    (bases, table, multi) = t.table
-    k = t.n_states
+    (index, table, multi, width) = t.table
     if isinstance(word, Coded):
         # chr(0), a code of no symbol, for an endmarker outside the alphabet
         tape = "%s%s%s" % (t.code.get(LEFT_END, "\0"), word,
@@ -857,27 +871,25 @@ def run_two_way(t: TwoWayTransducer, word,
             # coded first, so that each symbol is hashed once
             tape = "".join(map(t.code.get, tape, repeat("\0")))
     n = len(tape)
-    bound = k * (n + 1)
+    bound = t.n_states * (n + 1)
     # a long run reads the tape padded with WINDOW chr(0) on each side, so
     # that every window around the head lies in it; position p is index
     # p + off
     off = WINDOW if n >= SWEEP_MIN_TAPE and not want_trace else 0
     if off:
         tape = "%s%s%s" % ("\0" * off, tape, "\0" * off)
-    # key base per read position; a symbol outside the alphabet has base
-    # -k, as has the extra last entry, which serves both off-tape
-    # positions of a short tape, -1 and n, so all of these give negative
-    # keys, which the table never holds
-    base = list(map(bases.get, tape, repeat(-k)))
-    base.append(-k)
+    # the column per read position, and a last 0 for positions -1 and n
+    base = list(map(index.get, tape, repeat(0)))
+    base.append(0)
     state = t.initial
     pos = _read_position(t.signs[state], 0) + off
     trace = [Configuration(state, 0)] if want_trace else []
-    (state, pos, out, steps) = (
-        _run_long(t, tape, base, state, pos, bound) if off else
-        _steps(table, base, state, pos, bound, trace if want_trace else None))
+    (row, pos, out, steps) = (
+        _run_long(t, tape, base, state * width, pos, bound) if off else
+        _steps(table, width, base, state * width, pos, bound,
+               trace if want_trace else None))
     if steps >= bound:
-        # more steps than there are configurations with a move, k per
+        # more steps than there are configurations with a move, n_states per
         # tape position: the run has repeated one and never ends
         return TwoWayResult("loop", None, trace)
     # The run stopped in a configuration with no single move.  Only a +
@@ -885,42 +897,44 @@ def run_two_way(t: TwoWayTransducer, word,
     # it has no move.  A - state never reaches boundary n, as it would have
     # to come from a + state at n or a - state at n + 1.  So a
     # configuration with a move never accepts.
-    if pos - off == n and state in t.finals:
+    if pos - off == n and row // width in t.finals:
         return TwoWayResult("accept", out, trace)
-    sym = multi.get(base[pos] + state)
+    sym = multi.get(base[pos] + row)
     if sym is not None:
+        state = row // width
         raise MachineError("state %d has %d moves on %s"
                            % (state, len(t.delta[(state, sym)]), render(sym)))
     return TwoWayResult("reject", None, trace)
 
 
-def _steps(table: dict, base: list, state: int, pos: int, limit: int,
-           trace: list | None = None) -> tuple:
-    """The run from `state` reading index `pos` of a tape whose key bases
-    are `base`, one lookup in `table` per step, until a key has no single
-    move or `limit` steps are taken: (state, pos, output, steps).  Off the
-    tape, on either side, the extra -k entry at the end of `base` gives a
-    negative key, which has none.  With `trace`, each configuration the
-    run reaches is appended to it."""
+def _steps(table: list, width: int, base: list, row: int, pos: int,
+           limit: int, trace: list | None = None) -> tuple:
+    """The run from the state of `row` reading index `pos` of a tape whose
+    columns are `base`, one index of the move table `table` per step,
+    until a slot holds no single move or `limit` steps are taken: (row,
+    pos, output, steps).  Off the tape, on either side, the last entry of
+    `base`, column 0, gives an empty slot.  With `trace`, each
+    configuration the run reaches is appended to it."""
     out = []
     for steps in range(limit):
-        move = table.get(base[pos] + state)
+        move = table[base[pos] + row]
         if move is None:
-            return state, pos, "".join(out), steps
-        (state, o, d) = move
+            return row, pos, "".join(out), steps
+        (row, o, d) = move
         pos += d
         if o:
             out.append(o)
         if trace is not None:
-            trace.append(Configuration(state, pos + (d < 0)))
-    return state, pos, "".join(out), limit
+            trace.append(Configuration(row // width, pos + (d < 0)))
+    return row, pos, "".join(out), limit
 
 
-def _run_long(t: TwoWayTransducer, s: str, base: list, state: int,
+def _run_long(t: TwoWayTransducer, s: str, base: list, row: int,
               pos: int, limit: int) -> tuple:
-    """The untraced run on the padded coded tape `s`, whose key bases are
-    `base`, from `state` reading index `pos` until a configuration has no
-    single move or `limit` steps are taken: (state, pos, output, steps).
+    """The untraced run on the padded coded tape `s`, whose columns are
+    `base`, from the state of `row` reading index `pos` until a
+    configuration has no single move or `limit` steps are taken: (row,
+    pos, output, steps).
 
     A self-loop move starts a sweep: one search of `s` (reversed for a -
     state) finds the first code the state does not loop on, the head jumps
@@ -929,19 +943,19 @@ def _run_long(t: TwoWayTransducer, s: str, base: list, state: int,
     symbol, so each configuration a sweep skips has the loop as its one
     move and lies on the tape, where it does not accept.  The move a sweep
     stops at is taken by lookup.  Any other move takes the window run of
-    the state and the 2 * WINDOW + 1 codes centred on the head, memoized
+    the row and the 2 * WINDOW + 1 codes centred on the head, memoized
     on the machine: the `_steps` run on those codes alone, which reads
     nothing else (Shepherdson 1959), up to where the head leaves them; a
     loop that reaches their edge then sweeps on from there.  It is False
     when it takes as many steps as the window has configurations with the
     head still inside: it has repeated one and never ends.
     """
-    (_bases, table, _multi) = t.table
+    (_index, table, _multi, width) = t.table
     (loops, windows) = t.sweeps
-    # a window's codes and configurations, and the key base off its ends
-    width = 2 * WINDOW + 1
-    cap = t.n_states * width
-    outside = [-t.n_states]
+    # a window's codes and configurations, and the column off its ends
+    span = 2 * WINDOW + 1
+    cap = t.n_states * span
+    outside = [0]
     rev = s[::-1]
     last = len(s) - 1
     out = []
@@ -951,11 +965,11 @@ def _run_long(t: TwoWayTransducer, s: str, base: list, state: int,
     # WINDOW chr(0) on each side have no move, and no loop class holds
     # chr(0), so the run and each sweep stop in the padding at the latest.
     while steps < limit:
-        move = table.get(base[pos] + state)
+        move = table[base[pos] + row]
         if move is None:
             break
-        if move[0] == state:
-            (search, tr) = loops[state]
+        if move[0] == row:
+            (search, tr) = loops[row]
             d = move[2]
             (x, i) = (s, pos) if d > 0 else (rev, last - pos)
             m = search(x, i + 1).start() - i
@@ -965,31 +979,31 @@ def _run_long(t: TwoWayTransducer, s: str, base: list, state: int,
             steps += m
             swept = True
         elif swept:
-            (state, o, d) = move
+            (row, o, d) = move
             pos += d
             if o:
                 out.append(o)
             steps += 1
             swept = False
         else:
-            key = (state, s[pos - WINDOW:pos + WINDOW + 1])
+            key = (row, s[pos - WINDOW:pos + WINDOW + 1])
             run = windows.get(key)
             if run is None:
                 if len(windows) >= COREACH_MEMO_STATES:
                     windows.clear()
                 (q, p, o, m) = _steps(
-                    table, base[pos - WINDOW:pos + WINDOW + 1] + outside,
-                    state, WINDOW, cap)
-                run = windows[key] = False if m == cap and 0 <= p < width \
+                    table, width, base[pos - WINDOW:pos + WINDOW + 1]
+                    + outside, row, WINDOW, cap)
+                run = windows[key] = False if m == cap and 0 <= p < span \
                     else (q, p - WINDOW, o, m)
             if run is False:
-                return state, pos, None, limit
-            (state, shift, o, m) = run
+                return row, pos, None, limit
+            (row, shift, o, m) = run
             pos += shift
             if o:
                 out.append(o)
             steps += m
-    return state, pos, "".join(out), steps
+    return row, pos, "".join(out), steps
 
 
 def audit_trace(t: TwoWayTransducer, word, trace) -> bool:

@@ -13,11 +13,11 @@ from rtec.expr import (base, esum, label_occurrences, parse_regex, pretty,
                        r_eps, star)
 from rtec.glushkov import glushkov
 from rtec.machines import (Dfa, MachineError, MoveIndex, Nfa,
-                           OneWayTransducer, TwoWayTransducer, audit_trace,
-                           complement_dfa, determinize, enumerate_outputs,
-                           is_codeterministic, is_deterministic,
-                           is_reversible, minimize_dfa, nfa_accepts,
-                           run_two_way, to_dot, to_json_dict)
+                           OneWayTransducer, TwoWayResult, TwoWayTransducer,
+                           audit_trace, complement_dfa, determinize,
+                           enumerate_outputs, is_codeterministic,
+                           is_deterministic, is_reversible, minimize_dfa,
+                           nfa_accepts, run_two_way, to_dot, to_json_dict)
 from rtec.oracle import Oracle
 from rtec.parser_build import build_parser
 from rtec.pipeline import build_pipeline
@@ -661,7 +661,9 @@ def test_window_run_leaves_through_a_loop():
         assert res.status == "accept", w
         plain = stepwise(m, w)
         assert (plain.status, plain.output) == (res.status, res.output)
-        left = {run[0] for run in m.sweeps[1].values()
+        # the memo holds each run's last row, state * width
+        width = m.table[3]
+        left = {run[0] // width for run in m.sweeps[1].values()
                 if abs(run[1]) > machines.WINDOW}
         assert {2, 4} <= left, w
 
@@ -904,6 +906,104 @@ def test_coded_outputs_decode_round_trip():
     assert [walker.decode(s) for s in ("", "\x01", "\x02\x01")] == [
         (), (A,), (B, A)]
     assert walker.outputs("ba") == ["\x02\x01"]
+
+
+# ---------------------------------------------------------------------------
+# Move table: one row of width slots per state, one column per code, column
+# 0 for no symbol
+
+Z = letter("z")
+
+
+def assert_table_pins_delta(t):
+    (index, moves, multi, width) = t.table
+    assert width == len(t.code) + 1
+    assert len(moves) == t.n_states * width
+    assert sorted(map(ord, t.code.values())) == list(range(1, width))
+    for (sym, c) in t.code.items():
+        assert index[sym] == index[c] == ord(c)
+    # column 0 is empty in every row
+    assert all(moves[row] is None for row in range(0, len(moves), width))
+    singles = 0
+    for (state, sym), ms in t.delta.items():
+        at = state * width + index[sym]
+        if len(ms) == 1:
+            (dst, out) = ms[0]
+            assert moves[at] == (dst * width, out, t.signs[dst])
+            singles += 1
+        else:
+            assert moves[at] is None
+            assert multi.get(at) == (sym if ms else None)
+    assert sum(move is not None for move in moves) == singles
+    assert len(multi) == sum(len(ms) > 1 for ms in t.delta.values())
+    # a symbol delta reads outside the alphabet gets a column of its own,
+    # after the alphabet's
+    extra = {sym for (_state, sym) in t.delta} - t.input_alphabet
+    alphabet = len(t.input_alphabet)
+    assert sorted(index[sym] for sym in extra) == list(
+        range(alphabet + 1, alphabet + 1 + len(extra)))
+
+
+def test_move_table_pins_delta():
+    for pl in corpus_pipelines():
+        assert_table_pins_delta(fresh(pl.evaluator))
+    # a nondeterministic key, a key with no move, and symbols read outside
+    # the alphabet, one of them on the tape
+    delta = {
+        (0, LEFT_END): [(1, ""), (2, "")],
+        (1, A): [(1, "x")],
+        (1, B): [],
+        (1, Z): [(3, "z")],
+        (2, ("foreign",)): [(2, "")],
+        (3, RIGHT_END): [(4, "!")],
+    }
+    odd = TwoWayTransducer(5, [1, 1, 1, 1, 1], 0, frozenset({4}), delta,
+                           frozenset({A, B, LEFT_END, RIGHT_END}))
+    for m in (reversible_acceptor(), one_way_acceptor(), zigzag(), bouncer(),
+              odd):
+        assert_table_pins_delta(m)
+    # made deterministic, it runs over the symbol outside its alphabet
+    delta[(0, LEFT_END)] = [(1, "")]
+    odd = fresh(odd)
+    assert run_two_way(odd, (A, A, Z)) == TwoWayResult("accept", "xxz!")
+    assert run_two_way(odd, (A, B)).status == "reject"
+
+
+def test_move_table_short_tapes_reject_unknown_codes(monkeypatch):
+    # Codes of no symbol (chr(0), codes past the last column, and codes
+    # that would land on the next rows or past the table if added to a
+    # row) and a symbol outside the alphabet all read column 0 and reject.
+    # State 1 reads them after an a, and state 2, whose row is next to
+    # last, after ba; without column 0 state 1 would run on in state 2's
+    # row, and state 2 past the end of the list.
+    delta = {
+        (0, LEFT_END): [(1, "")],
+        (1, A): [(1, "x")],
+        (1, B): [(2, "")],
+        (2, A): [(2, "y")],
+        (2, RIGHT_END): [(3, "")],
+    }
+    m = TwoWayTransducer(4, [1, 1, 1, 1], 0, frozenset({3}), delta,
+                         frozenset({A, B, LEFT_END, RIGHT_END}))
+    width = m.table[3]
+    (a, b) = (m.code[A], m.code[B])
+    assert run_two_way(m, Coded(a + b + a)) == TwoWayResult("accept", "xy")
+    tails = ["\0", "\x7f", chr(width + 5)]
+    tails += [chr(j * width + c) for j in (1, 2, 3) for c in range(width)]
+    words = [Coded(head + tail) for head in (a, b + a) for tail in tails]
+    words += [(A, Z), (B, Z, A), (A, ("foreign",)), (A, A, LEFT_END)]
+    for gate in (machines.SWEEP_MIN_TAPE, 0):
+        monkeypatch.setattr(machines, "SWEEP_MIN_TAPE", gate)
+        for w in words:
+            for res in (run_two_way(m, w), run_two_way(m, w, True),
+                        stepwise(m, w)):
+                assert res.status == "reject", (gate, w)
+    for m in (reversible_acceptor(), zigzag()):
+        width = m.table[3]
+        for tail in ("\0", "\x7f", chr(width + 5)):
+            w = Coded(m.code[A] + tail)
+            assert run_two_way(m, w).status == "reject", tail
+            assert stepwise(m, w).status == "reject", tail
 
 
 # ---------------------------------------------------------------------------
