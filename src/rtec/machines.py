@@ -433,24 +433,24 @@ class SegmentWalk:
     (None for a stop), plus a last True if it has a live epsilon cycle.
     Nodes are interned, so keys and values share them; keys hold letters
     as characters.  As each move emits one symbol, as a parser's do,
-    distinct branches end in distinct outputs.  The walk for the only
-    output keeps () for a segment once it shows a second branch or a
-    cycle; the walk for all works it out anew.
+    distinct branches end in distinct outputs.  Each segment is worked out
+    once, in full, by whichever walk meets it first.
 
     A path of more spontaneous moves than there are states with such moves
     repeats a state on a live, pumpable cycle.  Only then is the segment
     worked out again with each configuration carrying its epsilon run,
     cutting a move back into the run, as a run-by-run walk would.
 
-    On a word of `SWEEP_MIN_TAPE` letters or more both walks take its
-    whole blocks of BLOCK letters through two more memos: a block's start
-    set under (end set, block), and its coded chunk and exit node, or ()
-    at a segment of other than one branch or with a live cycle, under
+    Every walk goes forward through `_chain`, which follows segments of
+    one branch.  On a word of `SWEEP_MIN_TAPE` letters or more both walks
+    take its whole blocks of BLOCK letters through two more memos: a
+    block's start set under (end set, block), and its chain's coded chunk
+    and exit node, or () if the chain stopped inside the block, under
     (entry node, end set, block), exact as the sets inside a block follow
-    from its end set.  At a () block the walk for the only output refuses
-    and that for all goes on letter by letter.  All memos start over once
-    the state sets hold more than COREACH_MEMO_STATES states or a memo of
-    segments or blocks more entries than that.
+    from its end set.  From a () block on, the walks go on by segments.
+    All memos start over once the state sets hold more than
+    COREACH_MEMO_STATES states or a memo of segments or blocks more
+    entries than that.
     """
 
     def __init__(self, t: OneWayTransducer, code: dict):
@@ -532,23 +532,22 @@ class SegmentWalk:
     def outputs(self, word, one=False) -> list:
         """The outputs on `word`, a str or a tuple of symbols, each as a
         coded string.  With `one`, the word's only output, or none when
-        it has none or more than one: the walk is the one-branch step of
-        `_block` over the word and its stop, which refuses at the first
-        segment with other than one branch or with a live epsilon cycle.
-        That is exact, because from a live node without such a cycle every
-        branch ends in an output.  A long word's whole blocks are taken a
-        block at a time up to the first that branches."""
+        it has none or more than one: the walk is one `_chain` over the
+        word and its stop, refused if it, or a block's, stops short.  That
+        is exact, because from a live node without a live epsilon cycle
+        every branch ends in an output.  Without `one`, the walk is a stack
+        of chains, one per branch of the segment each chain stopped at.  A
+        long word's whole blocks are taken a block at a time first."""
         word = chars(word)
         (node, out) = (self.start, [])
         if len(word) >= SWEEP_MIN_TAPE:
             # the first m letters, m a multiple of BLOCK, a block at a time
             m = len(word) // BLOCK * BLOCK
             co = self.coreach(word[m:])
-            (out, node, p) = self._blocks(word[:m], co[0], one)
-            if node is None:
+            (out, node, p) = self._blocks(word[:m], co[0])
+            if node is None or one and p < m:
                 return []
-            if p < m:
-                co[:1] = self.coreach(word[p:m], co[0])
+            co[:1] = self.coreach(word[p:m], co[0])
             word = word[p:]
         else:
             co = self.coreach(word)
@@ -557,42 +556,31 @@ class SegmentWalk:
         # past the last letter the walk can only stop
         co.append(None)
         word = (*word, None)
-        if one:
-            step = self._block(node, co, word)
-            return ["".join(out) + step[0]] if step else []
-        seg, found = self.segments, []
         # pending branches: (position, node, prefix length, own output)
-        (t, stack) = (0, [])
+        (found, stack, t) = ([], [], 0)
         while True:
-            # a stop, the only branch with no next node, ends the word
-            for t in range(t, len(word)):
-                key = (node, co[t + 1], word[t])
-                step = seg.get(key)
-                # () is a segment known only to refuse a unique walk
-                if not step:
-                    step = self._keep(seg, key, self._segment(
-                        node, co[t], co[t + 1], word[t]))
-                if len(step) != 2:
-                    depth = len(out)
-                    stack += [(t + 1, nxt, depth, chunk) for (chunk, nxt)
-                              in zip(step[0::2], step[1::2])]
-                    break
-                (chunk, node) = step
-                out.append(chunk)
-            else:
+            (chunk, node, t, step) = self._chain(node, co, word, t)
+            out.append(chunk)
+            if step is None:  # the chain took the stop
                 found.append("".join(out))
+            elif one:
+                return []
+            else:
+                depth = len(out)
+                stack += [(t + 1, nxt, depth, chunk) for (chunk, nxt)
+                          in zip(step[0::2], step[1::2])]
             if not stack:
                 return found
             (t, node, depth, chunk) = stack.pop()
             del out[depth:]
             out.append(chunk)
 
-    def _blocks(self, word, cur, one):
+    def _blocks(self, word, cur):
         """The walk through the blocks of `word`, with `cur` the co-reach
-        set after them, up to the first block with a segment of other than
-        one branch or with a live cycle: (chunks, node, position of that
-        block or len(word)), node None where the word is outside the domain
-        or, with `one`, the walk refuses."""
+        set after them, up to the first block whose `_chain` stops short of
+        its end: (chunks, node, position of that block or len(word)), node
+        None where the word is outside the domain.  A block's chain is
+        kept as (coded chunk, exit node), or () if it stopped short."""
         (sets, steps, ends) = (self.block_sets, self.block_steps, [])
         blocks = [word[i:i + BLOCK] for i in range(0, len(word), BLOCK)]
         kept = {}  # the letters' sets of blocks the backward pass missed
@@ -611,30 +599,33 @@ class SegmentWalk:
             step = steps.get(key)
             if step is None:
                 co = kept.get(key[1:]) or self.coreach(b, key[1])
-                step = self._keep(steps, key, self._block(node, co, b))
+                (chunk, nxt, _t, stop) = self._chain(node, co, b, 0)
+                step = self._keep(steps, key, (chunk, nxt) if stop is None
+                                  else ())
             if not step:
-                return (out, None if one else node, i * BLOCK)
+                return (out, node, i * BLOCK)
             out.append(step[0])
             node = step[1]
         return (out, node, len(word))
 
-    def _block(self, node, co, block):
-        """A block's step, letter by letter through segments, with `co` the
-        block's co-reach sets: (coded chunk, exit node), or () at a segment
-        of other than one branch or with a live cycle.  A last letter None
-        takes the stop, whose exit node is None; so the walk for the only
-        output is this step over the rest of its word."""
+    def _chain(self, node, co, word, t):
+        """The walk from `node` at position t of `word`, with `co` its
+        co-reach sets, through segments of one branch: (coded chunk, node,
+        position, segment) at the first segment of other than one branch
+        or with a live cycle, or (chunk, node, len(word), None) at the end.
+        A last letter None takes the stop, whose next node is None."""
         (seg, out) = (self.segments, [])
-        for (t, a) in enumerate(block):
-            step = seg.get((node, co[t + 1], a))
+        for t in range(t, len(word)):
+            key = (node, co[t + 1], word[t])
+            step = seg.get(key)
             if step is None:
-                step = self._keep(seg, (node, co[t + 1], a), self._segment(
-                    node, co[t], co[t + 1], a, True))
+                step = self._keep(seg, key, self._segment(
+                    node, co[t], co[t + 1], word[t]))
             if len(step) != 2:
-                return ()
+                return ("".join(out), node, t, step)
             (chunk, node) = step
             out.append(chunk)
-        return ("".join(out), node)
+        return ("".join(out), node, len(word), None)
 
     def _keep(self, memo, key, value):
         """`value`, stored under `key` in a memo kept to the cap."""
@@ -643,11 +634,11 @@ class SegmentWalk:
             self._forget()
         return value
 
-    def _segment(self, node, here, there, a, one=False, runs=False):
+    def _segment(self, node, here, there, a, runs=False):
         """The segment from `node` inside the co-reach set `here` into
-        `there` on `a`, or to the stop when `a` is None; with `one`, () at
-        a second branch or a cycle.  The memo key leaves out `here`, the
-        co-reach step of `there` on `a` (the end set when `a` is None)."""
+        `there` on `a`, or to the stop when `a` is None.  The memo key
+        leaves out `here`, the co-reach step of `there` on `a` (the end set
+        when `a` is None)."""
         (eps, letter) = (self.index.eps, self.index.letter)
         (coded, sym) = (self.coded, self.letters.get(a))
         interned = self.interned.setdefault
@@ -662,8 +653,7 @@ class SegmentWalk:
             # a node with one child hands over to it in place
             while True:
                 if k > bound:
-                    return () if one else \
-                        self._segment(entry, here, there, a, runs=True)
+                    return self._segment(entry, here, there, a, runs=True)
                 states = {s for (s, _run) in node} if runs else node
                 if a is None:
                     if not self.finals.isdisjoint(states):
@@ -689,8 +679,6 @@ class SegmentWalk:
                         for (_s, _a, o, d) in eps.get(s, ()):
                             if d in here:
                                 groups.setdefault(coded[o], set()).add(d)
-                if one and len(value) + 2 * len(groups) > 2:
-                    return ()
                 if len(groups) != 1:
                     break
                 ((o, node),) = groups.items()

@@ -286,6 +286,33 @@ def test_walks_share_block_memos():
             assert pl.run_relational(w) == ({value(w)}, False), (text, n)
 
 
+def test_walks_share_segment_memos(monkeypatch):
+    # one pass of the walk for the only output, then one of the walk for
+    # all, over the acceptance corpus works out each segment once, in
+    # full: the second walk finds every segment the first met.  The inner
+    # re-walk with epsilon runs is part of the call that makes it
+    segment = machines.SegmentWalk._segment
+    calls = {}
+
+    def counted(self, node, here, there, a, *args, **kwargs):
+        if not kwargs.get("runs"):
+            key = (self, node, there, a)
+            calls[key] = calls.get(key, 0) + 1
+        return segment(self, node, here, there, a, *args, **kwargs)
+
+    monkeypatch.setattr(machines.SegmentWalk, "_segment", counted)
+    words = words_upto(6)
+    assert len(words) == 127
+    for e in generate():
+        pl = build_pipeline(label_occurrences(e), SIGMA)
+        for w in words:
+            pl.run_unambiguous(w)
+        for w in words:
+            pl.run_relational(w)
+    twice = [key[1:] for (key, n) in calls.items() if n > 1]
+    assert twice == [] and len(calls) > 2000, (len(twice), len(calls))
+
+
 def test_shared_walker_matches_fresh_parsers():
     # memos kept across words and across both semantics give what a
     # parser built afresh for each call gives

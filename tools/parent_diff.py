@@ -8,7 +8,7 @@ archive` into a temporary directory.  Without REV both sides are the
 working tree.  Each side runs in its own subprocess on the same job list,
 REV's side with PYTHONHASHSEED=1 and the working tree's with 2, so a
 self-diff also checks that no result depends on the hash seed.  Each side
-writes one canonical JSON line per result, in two sections:
+writes one canonical JSON line per result, in three sections:
 
   runs     `run_unambiguous`, and the sorted values and the truncated flag
            of `run_relational`, on the acceptance corpus (all 127 words up
@@ -17,10 +17,19 @@ writes one canonical JSON line per result, in two sections:
   two_way  (status, output, trace) of the traced run and (status, output)
            of the untraced run of the evaluator on every parsing of the
            corpus words up to length 4, with `machines.SWEEP_MIN_TAPE` at 0
-           and at 256.
+           and at 256;
+  long     `run_unambiguous`, and where the word has at most 16 outputs the
+           sorted values and the truncated flag of `run_relational`, on
+           words that take the block walks: per expression of the corpus
+           and of 300 `corpus._random_expr` draws (seeds 1-300, depth
+           seed mod 4), eight seeded random words of its domain of at
+           least `machines.SWEEP_MIN_TAPE` letters, each followed by three
+           one-letter changes: anywhere, in its last two blocks, and to a
+           foreign letter.
 
-`--small` takes a slice: the tiny workloads of seed 1, and the two-way
-runs of their corpus expressions on words up to length 3.  The tool prints
+`--small` takes a slice: the tiny workloads of seed 1, the two-way runs of
+their corpus expressions on words up to length 3, and the long words of 40
+corpus expressions and 20 draws.  The tool prints
 each section's line count and mismatches, with the first few, and exits 1
 on any mismatch (2 if a side fails).  The job list comes from the working
 tree's `bench/workloads.py`, which it only imports.
@@ -32,16 +41,21 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import deque
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SECTIONS = ("runs", "two_way")
+SECTIONS = ("runs", "two_way", "long")
 GATES = (0, 256)
 SHOWN = 3  # mismatches printed per section
+DRAWS = range(1, 301)  # seeds of section long's expression draws
+WORDS = 8  # random domain words per expression of section long
+MOST = 16  # most outputs of a long word whose relational run is compared
 
 
 def build_jobs(small: bool) -> dict:
@@ -68,7 +82,104 @@ def build_jobs(small: bool) -> dict:
     return {"exprs": exprs, "runs": runs,
             "two_way": {"exprs": [add(spec) for spec in corpus.exprs],
                         "words": workloads.words_upto(
-                            corpus.exprs[0].sigma, 3 if small else 4)}}
+                            corpus.exprs[0].sigma, 3 if small else 4)},
+            "long": long_jobs(corpus.exprs, small, add)}
+
+
+def long_jobs(specs, small: bool, add) -> list:
+    """Section long's [expression, word, whether to run it relationally]:
+    the words of the corpus expressions `specs` and of the draws."""
+    import workloads
+    from rtec import corpus, machines
+    from rtec.expr import label_occurrences, parse_rte, pretty
+    from rtec.pipeline import build_pipeline
+
+    (specs, draws) = (specs[:40], DRAWS[:20]) if small else (specs, DRAWS)
+    texts = [spec.text for spec in specs]
+    for seed in draws:
+        rng = random.Random(seed)
+        e = corpus._random_expr(rng, seed % corpus.MAX_DEPTH)
+        while not corpus.acceptable(e):
+            e = corpus._random_expr(rng, seed % corpus.MAX_DEPTH)
+        texts.append(pretty(e))
+    (rng, jobs) = (random.Random(27), [])
+    for text in texts:
+        i = add(workloads.ExprSpec(text, corpus.SIGMA, corpus.GAMMA))
+        pl = build_pipeline(label_occurrences(
+            parse_rte(text, corpus.SIGMA, corpus.GAMMA)), corpus.SIGMA)
+        for _ in range(WORDS):
+            w = domain_word(pl.domains[0], corpus.SIGMA, rng,
+                            machines.SWEEP_MIN_TAPE + rng.randrange(64))
+            if w is None:
+                break
+            # one-letter changes: anywhere, in the last two blocks, and to a
+            # foreign letter
+            (n, words) = (len(w), [w])
+            for (k, c) in ((rng.randrange(n), None),
+                           (n - 1 - rng.randrange(2 * machines.BLOCK), None),
+                           (rng.randrange(n), "z")):
+                c = c or rng.choice(corpus.SIGMA.replace(w[k], ""))
+                words.append(w[:k] + c + w[k + 1:])
+            jobs += [[i, v, output_count(pl.parser.walker, v) <= MOST]
+                     for v in words]
+    return jobs
+
+
+def domain_word(dfa, sigma: str, rng, least: int):
+    """A random word of the DFA's language of at least `least` letters: a
+    random walk over the states that can still reach a final state, then
+    a shortest way to one; None where the walk gets stuck."""
+    from rtec.symbols import letter
+    moves = {s: [(c, dfa.delta[(s, letter(c))]) for c in sigma
+                 if (s, letter(c)) in dfa.delta]
+             for s in range(dfa.n_states)}
+    back = {}
+    for (s, ways) in moves.items():
+        for (_c, t) in ways:
+            back.setdefault(t, set()).add(s)
+    (live, todo) = (set(dfa.finals), list(dfa.finals))
+    while todo:
+        for s in back.get(todo.pop(), ()):
+            if s not in live:
+                live.add(s)
+                todo.append(s)
+    (s, word) = (dfa.initial, [])
+    while len(word) < least:
+        ways = [(c, t) for (c, t) in moves[s] if t in live]
+        if s not in live or not ways:
+            return None
+        (c, s) = rng.choice(ways)
+        word.append(c)
+    # breadth first from s to the nearest final state
+    (came, queue) = ({s: None}, deque([s]))
+    while s not in dfa.finals:
+        s = queue.popleft()
+        for (c, t) in moves[s]:
+            if t not in came:
+                came[t] = (s, c)
+                queue.append(t)
+    finish = []
+    while came[s] is not None:
+        (s, c) = came[s]
+        finish.append(c)
+    return "".join(word + finish[::-1])
+
+
+def output_count(walker, word) -> int:
+    """How many outputs the walk on `word` has, counted per node and
+    position through the walker's segments, not walked one by one."""
+    co = walker.coreach(word) + [None]
+    nodes = {} if walker.start.isdisjoint(co[0]) else {walker.start: 1}
+    stops = 0
+    for (t, a) in enumerate((*word, None)):
+        (now, nodes) = (nodes, {})
+        for (node, n) in now.items():
+            for nxt in walker._segment(node, co[t], co[t + 1], a)[1::2]:
+                if nxt is None:
+                    stops += n
+                else:
+                    nodes[nxt] = nodes.get(nxt, 0) + n
+    return stops
 
 
 def emit(jobs: dict, out) -> None:
@@ -115,6 +226,13 @@ def emit(jobs: dict, out) -> None:
                          res.status, res.output, [list(c) for c in res.trace],
                          plain.status, plain.output)
     machines.SWEEP_MIN_TAPE = gate
+    for (i, word, relational) in jobs["long"]:
+        pl = pipeline(i)
+        found = pl.run_unambiguous(word)
+        (values, truncated) = pl.run_relational(word) if relational \
+            else (None, None)
+        line("long", i, word, found,
+             None if values is None else sorted(values), truncated)
 
 
 def export(rev: str, into: Path) -> Path:
