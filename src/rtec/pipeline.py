@@ -7,6 +7,10 @@ Its premises quantify over runs that read one letter after spontaneous
 parenthesis moves, decided here by a finite saturation over state pairs
 (synchronized while the outputs agree, independent after the first
 difference), which terminates even when the parser has epsilon cycles.
+One pair step, `MacroStepTable.targets`, states the divergence rules once,
+for letters and for the right endmarker -|, which only the parser's final
+state reads: B's finality is read from that step, a bit-0 pair being final
+where its step on -| parts the two runs, a bit-1 pair where both read -|.
 B's pair states are found by a loop of its own; every other construction
 here, down to the saturation's closures, goes through `machines.explore`.
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .expr import (BASE, CAUCHY, CAUCHY_REV, DUP, HADAMARD, KSTAR, KSTAR_REV,
                    REV, STAR, STAR_REV, SUM, LabeledExpr, size,
@@ -50,25 +55,29 @@ from .machines import (Dfa, Nfa, OneWayTransducer, SegmentWalk,
                        minimize_dfa, run_two_way)
 from .parser_build import build_parser, parser_size_formula
 from .evaluator_build import build_evaluator, evaluator_size_formula
-from .symbols import Coded, chars, letter, letters
+from .symbols import RIGHT_END, Coded, chars, letter, letters
 
 # ---------------------------------------------------------------------------
 # Macro steps of the parser: one letter consumed after parenthesis moves
 
 class MacroStepTable:
     """Per state pair and letter: target pairs reachable with identical
-    parenthesis prefixes (same) and with differing outputs (diff), plus the
-    matching end-of-word predicates used for acceptance."""
+    parenthesis prefixes (same) and with differing outputs (diff).  The
+    right endmarker -| is one more letter, read by the final state alone
+    into itself, so the end of the word is its last step."""
 
     def __init__(self, parser: OneWayTransducer):
         self.parser = parser
-        self.final = next(iter(parser.finals))
+        self.final = final = next(iter(parser.finals))
         self.index = parser.index
-        self.eps, self.letter = self.index.eps, self.index.letter
-        # states that finish by parenthesis moves alone
-        self._ends = frozenset(self.index.coclosure((self.final,)))
+        self.eps = self.index.eps
+        self.letter = {**self.index.letter,
+                       (final, RIGHT_END): [(final, RIGHT_END, (), final)]}
+        # states that finish by parenthesis moves alone: those that read -|
+        self._ends = frozenset(self.index.coclosure((final,)))
         self._sync = {}
-        self._reach = {}
+        self._reach = {RIGHT_END: dict.fromkeys(self._ends,
+                                                frozenset((final,)))}
 
     def reach_letter(self, p, a):
         """States reachable from p by parenthesis moves followed by `a`."""
@@ -98,63 +107,30 @@ class MacroStepTable:
         return [(None, (d1, d2)) for (_s, _a, o, d1) in self.eps.get(s, ())
                 for d2 in t_by.get(o, ())]
 
-    def same_targets(self, p, q, a):
-        out = set()
-        for (s, t) in self.sync_closure(p, q):
-            lt = self.letter.get((t, a), ())
-            for (_s, _a, _o, d1) in self.letter.get((s, a), ()):
-                for (_t, _a, _o, d2) in lt:
-                    out.add((d1, d2))
-        return out
-
-    def diff_targets(self, p, q, a):
-        """Target pairs witnessed by runs whose outputs differ."""
-        out = set()
+    def targets(self, p, q, a):
+        """(same, diff): the target pairs of runs from (p, q) that read `a`
+        after the same parentheses, and after differing ones."""
+        (same, diff) = (set(), set())
+        reach = self.reach_letter
         for (s, t) in self.sync_closure(p, q):
             s_eps = self.eps.get(s, ())
             t_eps = self.eps.get(t, ())
+            s_lets = [m[3] for m in self.letter.get((s, a), ())]
+            t_lets = [m[3] for m in self.letter.get((t, a), ())]
+            same.update(product(s_lets, t_lets))
             # both sides move on parentheses with different symbols
             for (_s, _a, o1, d1) in s_eps:
                 for (_t, _a, o2, d2) in t_eps:
                     if o1 != o2:
-                        for r1 in self.reach_letter(d1, a):
-                            for r2 in self.reach_letter(d2, a):
-                                out.add((r1, r2))
+                        diff.update(product(reach(d1, a), reach(d2, a)))
             # one side still emits while the other already reads the letter
-            t_lets = [m[3] for m in self.letter.get((t, a), ())]
             if t_lets:
                 for (_s, _a, _o, d1) in s_eps:
-                    for r1 in self.reach_letter(d1, a):
-                        for r2 in t_lets:
-                            out.add((r1, r2))
-            s_lets = [m[3] for m in self.letter.get((s, a), ())]
+                    diff.update(product(reach(d1, a), t_lets))
             if s_lets:
                 for (_t, _a, _o, d2) in t_eps:
-                    for r2 in self.reach_letter(d2, a):
-                        for r1 in s_lets:
-                            out.add((r1, r2))
-        return out
-
-    def end_same(self, p, q) -> bool:
-        """Both states finish with the same parenthesis suffix."""
-        return p in self._ends and q in self._ends
-
-    def end_diff(self, p, q) -> bool:
-        """Both states finish, producing different parenthesis suffixes."""
-        for (s, t) in self.sync_closure(p, q):
-            for (_s, _a, o1, d1) in self.eps.get(s, ()):
-                for (_t, _a, o2, d2) in self.eps.get(t, ()):
-                    if o1 != o2 and d1 in self._ends and d2 in self._ends:
-                        return True
-            if t == self.final:
-                for (_s, _a, _o, d1) in self.eps.get(s, ()):
-                    if d1 in self._ends:
-                        return True
-            if s == self.final:
-                for (_t, _a, _o, d2) in self.eps.get(t, ()):
-                    if d2 in self._ends:
-                        return True
-        return False
+                    diff.update(product(s_lets, reach(d2, a)))
+        return same, diff
 
 
 def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
@@ -181,18 +157,15 @@ def build_functionality_checker(parser: OneWayTransducer, sigma: str) -> Nfa:
     while stack:
         (p, q, bit) = stack.pop()
         src = idx(p, q, bit)
-        if bit == 0:
-            if table.end_diff(p, q):
-                finals.add(src)
-        else:
-            if table.end_same(p, q):
-                finals.add(src)
+        # final: the step on -| parts the runs, or both parted runs read -|
+        if (table.targets(p, q, RIGHT_END)[1] if bit == 0
+                else p in table._ends and q in table._ends):
+            finals.add(src)
         for a in alphabet:
             if bit == 0:
-                moves = [((d1, d2, 0), a) for (d1, d2)
-                         in table.same_targets(p, q, a)]
-                moves += [((d1, d2, 1), a) for (d1, d2)
-                          in table.diff_targets(p, q, a)]
+                (same, diff) = table.targets(p, q, a)
+                moves = [((d1, d2, 0), a) for (d1, d2) in same]
+                moves += [((d1, d2, 1), a) for (d1, d2) in diff]
             else:
                 full = table.reach_letter(p, a)
                 full2 = table.reach_letter(q, a)

@@ -15,5 +15,6 @@ def test_parent_diff_self_diff_has_no_mismatch():
     assert res.returncode == 0, res.stdout + res.stderr
     counts = dict(re.findall(r"^(\w+): (\d+) lines on the old side, \2 on "
                              r"the new, 0 mismatches$", res.stdout, re.M))
-    assert counts.keys() == {"runs", "two_way", "long"}, res.stdout
+    assert counts.keys() == {"runs", "two_way", "long", "compile"}, \
+        res.stdout
     assert all(int(n) > 100 for n in counts.values()), counts

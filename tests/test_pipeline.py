@@ -18,7 +18,7 @@ from rtec.pipeline import (MacroStepTable, build_pipeline,
                            build_unambiguity_acceptor, check_size_bounds,
                            domain_dfas, uniformize_parser)
 from rtec.corpus import cn_alphabet, cn_expression, cn_word, generate
-from rtec.symbols import render_word
+from rtec.symbols import RIGHT_END, letter, render_word
 
 from conftest import LONG_CASES, SIGMA, mk, words_upto
 
@@ -482,11 +482,17 @@ def test_domain_dfas_match_oracle(seed, depth, wrap):
     o = Oracle(h)
     (dd, ud) = domain_dfas(h, corpus.SIGMA)
     acceptor = build_unambiguity_acceptor(dd, ud)
+    checker = pipeline.build_functionality_checker(
+        build_parser(h, corpus.SIGMA), corpus.SIGMA)
     for w in words_upto(5, corpus.SIGMA):
         assert dd.accepts(w) == o.dom(h, w), (pretty(e), w)
         assert ud.accepts(w) == o.udom(h, w), (pretty(e), w)
         # at most one parsing
         assert acceptor.accepts(w) == (o.udom(h, w) or not o.dom(h, w)), \
+            (pretty(e), w)
+        # two parsings or more
+        assert nfa_accepts(checker, w) == (o.dom(h, w)
+                                           and not o.udom(h, w)), \
             (pretty(e), w)
 
 
@@ -511,9 +517,7 @@ def test_macro_step_table():
     h = mk('(a -> "c") + (a -> "d")')
     p = build_parser(h, SIGMA)
     t = MacroStepTable(p)
-    from rtec.symbols import letter
-    same = t.same_targets(p.initial, p.initial, letter("a"))
-    diff = t.diff_targets(p.initial, p.initial, letter("a"))
+    (same, diff) = t.targets(p.initial, p.initial, letter("a"))
     # each side reads a in one of the two branches: with identical
     # parentheses both take the same one, with differing outputs distinct ones
     assert all(d1 == d2 for (d1, d2) in same)
@@ -522,6 +526,16 @@ def test_macro_step_table():
     branches = {d for (d, _d) in same}
     assert len(branches) == 2
     assert {d for pair in diff for d in pair} == branches
+    # -| is the last letter: the step on it parts the two parsings of the
+    # empty word, and there is nothing to part with one parsing
+    for (text, parted) in (('(@ -> "c") + (@ -> "d")', True),
+                           ('(@ -> "c")', False)):
+        p = build_parser(mk(text), SIGMA)
+        t = MacroStepTable(p)
+        (same, diff) = t.targets(p.initial, p.initial, RIGHT_END)
+        assert bool(diff) == parted, text
+        # both sides reach the final state after the same parentheses
+        assert same == {(t.final, t.final)}, text
 
 
 def test_checker_walks_the_epsilon_moves_once_per_letter(monkeypatch):

@@ -1,5 +1,5 @@
-"""Diff the runtime results of two trees of rtec: a git revision and the
-working tree, or the working tree against itself.
+"""Diff the runtime results and compiled machines of two trees of rtec: a
+git revision and the working tree, or the working tree against itself.
 
     python tools/parent_diff.py [REV] [--small]
 
@@ -8,7 +8,7 @@ archive` into a temporary directory.  Without REV both sides are the
 working tree.  Each side runs in its own subprocess on the same job list,
 REV's side with PYTHONHASHSEED=1 and the working tree's with 2, so a
 self-diff also checks that no result depends on the hash seed.  Each side
-writes one canonical JSON line per result, in three sections:
+writes one canonical JSON line per result, in four sections:
 
   runs     `run_unambiguous`, and the sorted values and the truncated flag
            of `run_relational`, on the acceptance corpus (all 127 words up
@@ -25,11 +25,19 @@ writes one canonical JSON line per result, in three sections:
            seed mod 4), eight seeded random words of its domain of at
            least `machines.SWEEP_MIN_TAPE` letters, each followed by three
            one-letter changes: anywhere, in its last two blocks, and to a
-           foreign letter.
+           foreign letter;
+  compile  the state count, the transition count and a sha256 of
+           `json.dumps(to_json_dict(m))` for each machine m of a fresh
+           pipeline: the parser, the evaluator, the checker B, the
+           acceptor and the dom and udom DFAs, on the corpus expressions,
+           the long-words and compile-heavy texts, and 400
+           `corpus._random_expr` draws (seeds 0-199, depth seed mod 4),
+           each plain and wrapped in `star(esum(e, base(r_eps(), "x")))`.
 
 `--small` takes a slice: the tiny workloads of seed 1, the two-way runs of
-their corpus expressions on words up to length 3, and the long words of 40
-corpus expressions and 20 draws.  The tool prints
+their corpus expressions on words up to length 3, the long words of 40
+corpus expressions and 20 draws, and the machines of the tiny workloads'
+expressions and of the draws of seeds 0-19.  The tool prints
 each section's line count and mismatches, with the first few, and exits 1
 on any mismatch (2 if a side fails).  The job list comes from the working
 tree's `bench/workloads.py`, which it only imports.
@@ -38,6 +46,7 @@ tree's `bench/workloads.py`, which it only imports.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -50,12 +59,13 @@ from collections import deque
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SECTIONS = ("runs", "two_way", "long")
+SECTIONS = ("runs", "two_way", "long", "compile")
 GATES = (0, 256)
 SHOWN = 3  # mismatches printed per section
 DRAWS = range(1, 301)  # seeds of section long's expression draws
 WORDS = 8  # random domain words per expression of section long
 MOST = 16  # most outputs of a long word whose relational run is compared
+MACHINES = ("parser", "evaluator", "checker", "acceptor", "dom", "udom")
 
 
 def build_jobs(small: bool) -> dict:
@@ -83,7 +93,25 @@ def build_jobs(small: bool) -> dict:
             "two_way": {"exprs": [add(spec) for spec in corpus.exprs],
                         "words": workloads.words_upto(
                             corpus.exprs[0].sigma, 3 if small else 4)},
-            "long": long_jobs(corpus.exprs, small, add)}
+            "long": long_jobs(corpus.exprs, small, add),
+            "compile": compile_jobs([spec for (_n, _s, w) in plan
+                                     for spec in w.exprs], small, add)}
+
+
+def compile_jobs(specs, small: bool, add) -> list:
+    """Section compile's expressions: `specs`, then the draws of seeds
+    0-199 (0-19 with `small`), each plain and wrapped; each once."""
+    import workloads
+    from rtec import corpus
+    from rtec.expr import base, esum, pretty, r_eps, star
+
+    ids = [add(spec) for spec in specs]
+    for seed in range(20 if small else 200):
+        e = corpus._random_expr(random.Random(seed), seed % corpus.MAX_DEPTH)
+        for d in (e, star(esum(e, base(r_eps(), "x")))):
+            ids.append(add(workloads.ExprSpec(pretty(d), corpus.SIGMA,
+                                              corpus.GAMMA)))
+    return list(dict.fromkeys(ids))
 
 
 def long_jobs(specs, small: bool, add) -> list:
@@ -193,11 +221,14 @@ def emit(jobs: dict, out) -> None:
 
     pipelines = {}
 
+    def build(i):
+        (text, sigma, gamma) = jobs["exprs"][i]
+        return build_pipeline(label_occurrences(parse_rte(text, sigma, gamma)),
+                              sigma)
+
     def pipeline(i):
         if i not in pipelines:
-            (text, sigma, gamma) = jobs["exprs"][i]
-            pipelines[i] = build_pipeline(
-                label_occurrences(parse_rte(text, sigma, gamma)), sigma)
+            pipelines[i] = build(i)
         return pipelines[i]
 
     def line(*fields):
@@ -233,6 +264,14 @@ def emit(jobs: dict, out) -> None:
             else (None, None)
         line("long", i, word, found,
              None if values is None else sorted(values), truncated)
+    for i in jobs["compile"]:
+        # a fresh pipeline, so no machine is kept past its line
+        pl = build(i)
+        for (name, m) in zip(MACHINES, (pl.parser, pl.evaluator, pl.checker,
+                                        pl.acceptor, *pl.domains)):
+            d = machines.to_json_dict(m)
+            line("compile", i, name, d["states"], len(d["transitions"]),
+                 hashlib.sha256(json.dumps(d).encode()).hexdigest())
 
 
 def export(rev: str, into: Path) -> Path:
@@ -267,7 +306,8 @@ def compare(name: str, old: list, new: list) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        description="Diff runtime results against a git revision.")
+        description="Diff runtime results and compiled machines against a "
+                    "git revision.")
     ap.add_argument("rev", nargs="?",
                     help="revision to diff against (default: the working "
                          "tree itself)")
